@@ -57,8 +57,7 @@ func main() {
 	accounts := flag.Int("accounts", 0, "transfer workload: account count (0: 1024 scaled); fewer = hotter")
 	lat := flag.Bool("lat", false, "workloads: measure per-transaction latency percentiles (p50/p99 columns)")
 	snapshot := flag.Bool("snapshot", false, "cache workload: serve read probes as validation-free MVCC snapshot reads (engines with CapSnapshot only)")
-	noHints := flag.Bool("nohints", false, "workloads: disable footprint hints on sharded engines (measure the discovery path)")
-	noLatch := flag.Bool("nolatch", false, "disable key-granular cross-shard latching on sharded engines (whole-shard locks, the pre-latch behavior)")
+	noHints := flag.Bool("nohints", false, "workloads: disable footprint hints on sharded engines (no key latches: the purely optimistic path)")
 	flag.Parse()
 
 	checkShardsFlag(*shards)
@@ -76,7 +75,7 @@ func main() {
 
 	ratios := parseRatios(*ratio)
 	threads := parseThreads(*threadsFlag)
-	opt := bench.Options{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards, NoLatch: *noLatch}
+	opt := bench.Options{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
 	fmt.Printf("# host: GOMAXPROCS=%d; scale=%.2f; dur=%v\n", runtime.GOMAXPROCS(0), *scale, *dur)
 
 	if *wlFlag != "" {
@@ -100,7 +99,7 @@ func main() {
 		cfg := workload.Config{
 			Dur: *dur, Warmup: *warmup, Scale: *scale,
 			Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen,
-			Shards: *shards, NoLatch: *noLatch, ZipfS: *zipfS, ReadPct: rp,
+			Shards: *shards, ZipfS: *zipfS, ReadPct: rp,
 			Accounts: *accounts, Latency: *lat, NoHints: *noHints,
 			Snapshot: *snapshot,
 		}
@@ -143,17 +142,16 @@ func main() {
 		for _, r := range ratios {
 			wl := bench.PaperWorkload(r[0], r[1], r[2], *scale)
 			fmt.Printf("\n## %s, get:insert:remove = %s\n", figName, wl.Ratio())
-			fmt.Printf("%-16s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "xshard", "fphit", "fpmiss", "latchw", "latchfb")
+			fmt.Printf("%-16s %8s %14s %12s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "fphit", "latchw")
 			for _, name := range systems {
 				for _, th := range threads {
 					sys := mustSystem(name, kind, wl, opt)
 					res := bench.RunThroughput(sys, wl, th, *dur)
 					sys.Close()
-					fmt.Printf("%-16s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d\n",
+					fmt.Printf("%-16s %8d %14.0f %12d %10d %10d %10d %10d\n",
 						res.System, res.Threads, res.Throughput,
-						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.CrossShardRestarts,
-						res.Stats.FootprintHits, res.Stats.FootprintMisses,
-						res.Stats.LatchWaits, res.Stats.LatchFallbacks)
+						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries,
+						res.Stats.FootprintHits, res.Stats.LatchWaits)
 				}
 			}
 		}
@@ -308,11 +306,11 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 		}
 		fmt.Printf("\n## workload %s (%s)\n", name, sc.Doc)
 		if cfg.Latency {
-			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
-				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "xshard", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale", "p50", "p99", "audit")
+			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
+				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "fphit", "latchw", "snapread", "snapstale", "p50", "p99", "audit")
 		} else {
-			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s  %s\n",
-				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "xshard", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale", "audit")
+			fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s  %s\n",
+				"system", "threads", "txn/s", "commits", "aborts", "retries", "fallbacks", "fphit", "latchw", "snapread", "snapstale", "audit")
 		}
 		for _, engine := range systems {
 			for _, th := range threads {
@@ -324,19 +322,17 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 					os.Exit(2)
 				}
 				if cfg.Latency {
-					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10v %10v  %s\n",
+					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10v %10v  %s\n",
 						res.System, res.Threads, res.Throughput,
 						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.Fallbacks,
-						res.Stats.CrossShardRestarts, res.Stats.FootprintHits, res.Stats.FootprintMisses,
-						res.Stats.LatchWaits, res.Stats.LatchFallbacks,
+						res.Stats.FootprintHits, res.Stats.LatchWaits,
 						res.Stats.SnapshotReads, res.Stats.SnapshotStale,
 						res.P50, res.P99, res.AuxString())
 				} else {
-					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d %10d  %s\n",
+					fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d  %s\n",
 						res.System, res.Threads, res.Throughput,
 						res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.Fallbacks,
-						res.Stats.CrossShardRestarts, res.Stats.FootprintHits, res.Stats.FootprintMisses,
-						res.Stats.LatchWaits, res.Stats.LatchFallbacks,
+						res.Stats.FootprintHits, res.Stats.LatchWaits,
 						res.Stats.SnapshotReads, res.Stats.SnapshotStale,
 						res.AuxString())
 				}

@@ -36,7 +36,6 @@ func main() {
 	dur := flag.Duration("dur", 2*time.Second, "measurement duration per point")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
 	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default)")
-	noLatch := flag.Bool("nolatch", false, "disable key-granular cross-shard latching on sharded engines (whole-shard locks, the pre-latch behavior)")
 	flag.Parse()
 
 	// The non-fatal over-parallelism warning is emitted by the registry at
@@ -88,10 +87,10 @@ func main() {
 	}
 
 	cfg := tpcc.DefaultConfig(*warehouses)
-	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards, NoLatch: *noLatch}
+	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
 	fmt.Printf("# host: GOMAXPROCS=%d; warehouses=%d; dur=%v\n", runtime.GOMAXPROCS(0), *warehouses, *dur)
 	fmt.Printf("\n## Figure 9 (TPC-C newOrder:payment 1:1)\n")
-	fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "xshard", "fphit", "fpmiss", "latchw", "latchfb", "snapread", "snapstale")
+	fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "fphit", "latchw", "snapread", "snapstale")
 
 	for _, name := range systems {
 		for _, th := range threads {
@@ -103,11 +102,10 @@ func main() {
 			tpcc.Load(st, cfg)
 			res := tpcc.Run(st, cfg, th, *dur)
 			st.Close()
-			fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d %10d %10d %10d\n",
+			fmt.Printf("%-12s %8d %14.0f %12d %10d %10d %10d %10d %10d %10d\n",
 				res.System, res.Threads, res.Throughput,
-				res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries, res.Stats.CrossShardRestarts,
-				res.Stats.FootprintHits, res.Stats.FootprintMisses,
-				res.Stats.LatchWaits, res.Stats.LatchFallbacks,
+				res.Stats.Commits, res.Stats.Aborts, res.Stats.Retries,
+				res.Stats.FootprintHits, res.Stats.LatchWaits,
 				res.Stats.SnapshotReads, res.Stats.SnapshotStale)
 		}
 	}

@@ -56,7 +56,6 @@ func main() {
 	queue := flag.Int("queue", 0, "per-connection pipelining queue depth (0: default)")
 	grace := flag.Duration("grace", 0, "drain grace for in-flight requests (0: default)")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
-	noLatch := flag.Bool("nolatch", false, "disable key-granular cross-shard latching on sharded engines")
 	noReadLane := flag.Bool("noreadlane", false, "disable the snapshot read fast lane (A/B control: every request runs OCC)")
 	combiners := flag.Int("combiners", 0, "read-lane combiner stripes (0: host-sized default)")
 	idleTimeout := flag.Duration("idletimeout", 0, "close connections idle longer than this between frames (0: never)")
@@ -72,7 +71,7 @@ func main() {
 	}
 	eng, err := txengine.Build(*engine, txengine.Config{
 		Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen,
-		Shards: *shards, NoLatch: *noLatch,
+		Shards: *shards,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -144,8 +143,8 @@ func main() {
 	s.Drain()
 	st := eng.Stats()
 	c := s.Counters()
-	fmt.Printf("txserver: engine commits=%d aborts=%d retries=%d xshard=%d fphit=%d latchw=%d\n",
-		st.Commits, st.Aborts, st.Retries, st.CrossShardRestarts, st.FootprintHits, st.LatchWaits)
+	fmt.Printf("txserver: engine commits=%d aborts=%d retries=%d fphit=%d latchw=%d\n",
+		st.Commits, st.Aborts, st.Retries, st.FootprintHits, st.LatchWaits)
 	fmt.Printf("txserver: server conns=%d requests=%d shed=%d drained=%d idleclosed=%d batches=%d batchedops=%d\n",
 		c.Conns, c.Requests, c.Shed, c.Drained, c.IdleClosed, c.Batches, c.BatchedOps)
 	fmt.Printf("txserver: readlane snapserved=%d combined=%d occserved=%d\n",

@@ -18,9 +18,6 @@ type Options struct {
 	// Shards is the partition count for sharded engines (0: engine
 	// default); non-sharded engines ignore it.
 	Shards int
-	// NoLatch disables key-granular cross-shard latching on sharded
-	// engines (the -nolatch A/B knob); non-sharded engines ignore it.
-	NoLatch bool
 }
 
 // NewSystem builds the named engine from the txengine registry and wraps it
@@ -43,7 +40,7 @@ func NewSystem(engine string, kind txengine.MapKind, wl Workload, opt Options) (
 			return nil, fmt.Errorf("bench: engine %q has no skiplist: %w", engine, txengine.ErrUnsupported)
 		}
 	}
-	eng, err := b.New(txengine.Config{Latencies: opt.Latencies, EpochLen: opt.EpochLen, Shards: opt.Shards, NoLatch: opt.NoLatch})
+	eng, err := b.New(txengine.Config{Latencies: opt.Latencies, EpochLen: opt.EpochLen, Shards: opt.Shards})
 	if err != nil {
 		return nil, err
 	}

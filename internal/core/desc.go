@@ -51,10 +51,15 @@ type readRec struct {
 // package comment).
 type Desc struct {
 	status atomic.Uint32
-	// group, when non-nil, links this descriptor into a shared-fate
-	// TxGroup: status lives in the group's word and finalization spans
-	// every member (see group.go). Set once, before the first install.
-	group      *TxGroup
+	// leader, when non-nil, makes this descriptor a follower in a
+	// shared-fate group: its status lives in the leader's word and
+	// finalization spans the whole group (see group.go). Set once, before
+	// the first install. next chains the group's followers: on the leader
+	// it is the newest follower, on a follower the one that joined before
+	// it. A chain rather than a slice keeps Desc in its allocation size
+	// class.
+	leader     *Desc
+	next       *Desc
 	owner      *Session
 	readSet    []readRec
 	writeSet   []Obj
@@ -77,8 +82,8 @@ func newDesc(owner *Session) *Desc {
 	return d
 }
 
-// Status returns the descriptor's current status (the group's, for a
-// linked descriptor).
+// Status returns the descriptor's current status (the leader's, for a
+// follower).
 func (d *Desc) Status() Status { return Status(d.statusWord().Load()) }
 
 // AddValidator registers an extra commit-time check evaluated (by the owner
@@ -125,9 +130,9 @@ func (d *Desc) tryFinalize(o Obj, found unsafe.Pointer) {
 	if o.curCell() != found {
 		return // descriptor no longer responsible for this object
 	}
-	// For a linked descriptor the status word, the validation scope, and
-	// the sweep scope are all group-wide: helping one member means
-	// finalizing the whole shared-fate group (see group.go).
+	// For a group member the status word, the validation scope, and the
+	// sweep scope are all group-wide: helping one member means finalizing
+	// the whole shared-fate group (see group.go).
 	w := d.statusWord()
 	st := Status(w.Load())
 	sawInProg := st == InProg || st == Committed
@@ -156,6 +161,20 @@ func (d *Desc) tryFinalize(o Obj, found unsafe.Pointer) {
 	}
 	if d.owner != nil {
 		d.owner.stats().Helps.Add(1)
+	}
+}
+
+// decide runs the owner's commit on d's status word: freeze the read and
+// write sets (InPrep→InProg), validate, and finalize. A lost first CAS
+// means a helper already aborted the transaction.
+func (d *Desc) decide() {
+	w := d.statusWord()
+	if w.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
+		if d.validateScope() {
+			w.CompareAndSwap(uint32(InProg), uint32(Committed))
+		} else {
+			w.CompareAndSwap(uint32(InProg), uint32(Aborted))
+		}
 	}
 }
 

@@ -4,139 +4,131 @@ import "sync/atomic"
 
 // This file implements shared-fate transaction groups: several open
 // transactions — typically one per shard of a sharded engine, each on its
-// own TxManager — linked so that they commit or abort as one atomic unit.
+// own TxManager — that commit or abort as one atomic unit.
 //
-// The mechanism is the classic multi-word extension of the MCNS descriptor
-// protocol: every linked descriptor delegates its status to one shared
-// TxGroup word, so the single CAS that finalizes the group finalizes every
-// member at once. Helpers that trip over any member's installed cell resolve
-// the *group*: an InPrep group is aborted whole, an InProg group is
-// validated across every member's read set (and extra validators) and then
-// committed or aborted whole. There is no window in which one member is
-// committed and a sibling is not — the property the sharded runtime's
-// key-granular (latch-based) cross-shard commit relies on, where concurrent
-// single-shard transactions may invalidate a sub-transaction's reads at any
-// time and a per-shard commit sequence could otherwise tear.
+// A group forms lazily. Its first transaction runs solo and becomes the
+// group's leader the moment another transaction joins it (Session.TxJoin).
+// A follower joins before its own first speculative install and from then
+// on delegates its status to the leader's word, so the single CAS that
+// finalizes the leader finalizes every follower at once. Helpers that trip
+// over any member's installed cell resolve the *group*: an InPrep group is
+// aborted whole, an InProg group is validated across every member's read
+// set (and extra validators) and then committed or aborted whole. There is
+// no window in which one member is committed and a sibling is not — the
+// property the sharded runtime's cross-shard commit relies on, where
+// concurrent single-shard transactions may invalidate a sub-transaction's
+// reads at any time.
 //
-// Validation soundness under racing finalizers follows the same monotonicity
-// argument as the single-descriptor case: cells are immutable and the GC
-// rules out ABA, so once any member's read-set entry is invalid it stays
-// invalid forever. Whichever finalizer wins the status CAS observed an
-// all-valid (or some-invalid) group strictly before its CAS, and a racing
-// finalizer with the opposite verdict must have observed the group at a
-// time that contradicts monotonicity — so racing verdicts can differ only
-// when both CAS attempts land after the status is already final, where they
-// are no-ops.
+// Joining never changes an installed descriptor's status word: the leader
+// keeps its own word (its cells may already be installed and visible to
+// helpers), and a follower's leader pointer is set before any of its cells
+// exist. The leader's follower chain grows while the group is InPrep, but
+// helpers walk it only after observing InProg or later, and the owner's
+// InPrep→InProg CAS happens after the last join, so the chain is frozen by
+// then (the same argument that makes the read and write sets safe to
+// share).
+//
+// Validation soundness under racing finalizers follows the same
+// monotonicity argument as the single-descriptor case: cells are immutable
+// and the GC rules out ABA, so once any member's read-set entry is invalid
+// it stays invalid forever. Whichever finalizer wins the status CAS
+// observed an all-valid (or some-invalid) group strictly before its CAS,
+// and a racing finalizer with the opposite verdict must have observed the
+// group at a time that contradicts monotonicity — so racing verdicts can
+// differ only when both CAS attempts land after the status is already
+// final, where they are no-ops.
 
-// TxGroup links the descriptors of several open transactions into one
-// shared-fate unit with a single status word. Like Desc, a group is used
-// for exactly one (logical) transaction and never reused: helpers may hold
-// references to a finalized group indefinitely, and reuse would let a
-// straggler's status CAS corrupt an unrelated transaction.
-type TxGroup struct {
-	status  atomic.Uint32
-	members []*Desc
+// TxJoin makes s's open transaction a follower of leader's open
+// transaction: from now on the two share leader's status word, and the
+// group commits only through leader.TxEndGroup. s must not have installed
+// any speculative write yet (join right after TxBegin), since its cells
+// carry the leader pointer to helpers. The leader may already have
+// installed writes, and may itself be the leader of earlier followers, but
+// must not be a follower. Members must never touch a common object: one
+// meeting a sibling's installed cell would abort its own group.
+//
+// A follower is finished either by its leader's TxEndGroup or by its own
+// TxAbort (aborting any member aborts the group, but every member's session
+// still needs its own TxAbort to run its sweep, undos and hooks).
+func (s *Session) TxJoin(leader *Session) {
+	d, l := s.desc, leader.desc
+	if d == nil || l == nil {
+		panic("medley: TxJoin outside a transaction")
+	}
+	if len(d.writeSet) != 0 {
+		panic("medley: TxJoin after a speculative install")
+	}
+	if d.grouped() {
+		panic("medley: TxJoin on a transaction already in a group")
+	}
+	if l.leader != nil || l == d {
+		panic("medley: TxJoin to a follower")
+	}
+	d.leader = l
+	d.next, l.next = l.next, d
 }
 
-// LinkTxs links the currently open transactions of ss into a new shared-fate
-// group and returns it. Every session must be inside a transaction that has
-// not yet installed any speculative write (link immediately after TxBegin):
-// the group pointer becomes visible to helpers through installed cells, so
-// it must be in place before the first install.
-//
-// Once linked, the transactions must be finished either by CommitLinked or
-// by aborting every member (Session.TxAbort; aborting one member aborts the
-// group, but each session still needs its own TxAbort/finish to run its
-// sweep, undos, and hooks).
-func LinkTxs(ss []*Session) *TxGroup {
-	g := &TxGroup{members: make([]*Desc, len(ss))}
-	for i, s := range ss {
-		d := s.desc
-		if d == nil {
-			panic("medley: LinkTxs outside a transaction")
-		}
-		if d.group != nil {
-			panic("medley: LinkTxs on an already linked transaction")
-		}
-		if len(d.writeSet) != 0 {
-			panic("medley: LinkTxs after a speculative install")
-		}
-		d.group = g
-		g.members[i] = d
+// TxEndGroup atomically commits s's transaction together with every
+// transaction that joined it: one status CAS freezes the group, validation
+// covers every member's read set and validators, and one final CAS decides
+// the fate of all of them. It then finishes every member's session (sweep,
+// cleanups/undos, hooks) and returns nil if the group committed,
+// ErrTxAborted otherwise. On a transaction nobody joined it is TxEnd.
+func (s *Session) TxEndGroup() error {
+	d := s.desc
+	if d == nil {
+		panic("medley: TxEndGroup outside a transaction")
 	}
-	return g
-}
-
-// CommitLinked atomically commits the linked transactions of ss: one status
-// CAS freezes every member, validation covers every member's read set and
-// validators, and one final CAS decides the fate of all of them. It then
-// finishes each session (sweep, cleanups/undos, hooks) and returns nil if
-// the group committed, ErrTxAborted otherwise. ss must be exactly the
-// sessions passed to LinkTxs, each still inside its linked transaction.
-func CommitLinked(ss []*Session) error {
-	d0 := ss[0].desc
-	if d0 == nil || d0.group == nil {
-		panic("medley: CommitLinked outside a linked transaction")
+	if d.leader != nil {
+		panic("medley: TxEndGroup on a follower; commit through its leader")
 	}
-	g := d0.group
-	if g.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
-		ok := true
-		for _, m := range g.members {
-			if !m.validate() {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			g.status.CompareAndSwap(uint32(InProg), uint32(Committed))
-		} else {
-			g.status.CompareAndSwap(uint32(InProg), uint32(Aborted))
-		}
-	}
-	// Every member shares the final status, so every finish returns the
-	// same verdict; the last one is as good as any.
-	var err error
-	for _, s := range ss {
-		err = s.finish(s.desc)
+	d.decide()
+	err := s.finish(d)
+	for f := d.next; f != nil; f = f.next {
+		f.owner.finish(f)
 	}
 	return err
 }
 
+// grouped reports whether d leads or follows a shared-fate group.
+func (d *Desc) grouped() bool { return d.leader != nil || d.next != nil }
+
 // statusWord returns the atomic word that holds this descriptor's status:
-// its own for a solo transaction, the group's for a linked one. Every status
-// read and transition goes through it, which is what gives linked
-// descriptors their shared fate.
+// its own for a solo transaction or a leader, the leader's for a follower.
+// Every status read and transition goes through it, which is what gives
+// group members their shared fate.
 func (d *Desc) statusWord() *atomic.Uint32 {
-	if d.group != nil {
-		return &d.group.status
+	if d.leader != nil {
+		return &d.leader.status
 	}
 	return &d.status
 }
 
 // validateScope validates everything the finalizing CAS would commit: the
-// whole group for a linked descriptor, just d itself otherwise.
+// leader and every follower of d's group (just d for a solo transaction).
+// Called only once the group is InProg, when the follower chain is frozen.
 func (d *Desc) validateScope() bool {
-	if g := d.group; g != nil {
-		for _, m := range g.members {
-			if !m.validate() {
-				return false
-			}
+	for m := d.groupLeader(); m != nil; m = m.next {
+		if !m.validate() {
+			return false
 		}
-		return true
 	}
-	return d.validate()
+	return true
 }
 
 // sweepScope uninstalls the finalized descriptor(s) from their write sets:
-// the whole group for a linked descriptor (helpers only call this once the
-// group reached InProg, when every member's write set is frozen), just d
-// otherwise.
+// the whole group (helpers only call this once the group reached InProg,
+// when every member's write set is frozen), just d for a solo transaction.
 func (d *Desc) sweepScope(committed bool) {
-	if g := d.group; g != nil {
-		for _, m := range g.members {
-			m.sweep(committed)
-		}
-		return
+	for m := d.groupLeader(); m != nil; m = m.next {
+		m.sweep(committed)
 	}
-	d.sweep(committed)
+}
+
+// groupLeader returns the descriptor whose status word d uses.
+func (d *Desc) groupLeader() *Desc {
+	if d.leader != nil {
+		return d.leader
+	}
+	return d
 }

@@ -92,18 +92,12 @@ func (s *Session) TxEnd() error {
 	if d == nil {
 		panic("medley: TxEnd outside a transaction")
 	}
-	if d.group != nil {
-		// A linked transaction validates and commits group-wide; committing
-		// one member alone would break the shared fate.
-		panic("medley: TxEnd on a linked transaction; use CommitLinked")
+	if d.grouped() {
+		// A group validates and commits as a whole; committing one member
+		// alone would break the shared fate.
+		panic("medley: TxEnd on a grouped transaction; use TxEndGroup on its leader")
 	}
-	if d.status.CompareAndSwap(uint32(InPrep), uint32(InProg)) {
-		if d.validate() {
-			d.status.CompareAndSwap(uint32(InProg), uint32(Committed))
-		} else {
-			d.status.CompareAndSwap(uint32(InProg), uint32(Aborted))
-		}
-	}
+	d.decide()
 	return s.finish(d)
 }
 
@@ -115,7 +109,7 @@ func (s *Session) TxAbort() error {
 	if d == nil {
 		panic("medley: TxAbort outside a transaction")
 	}
-	w := d.statusWord() // aborting one linked member aborts the whole group
+	w := d.statusWord() // aborting one group member aborts the whole group
 	for {
 		st := Status(w.Load())
 		if st == Committed || st == Aborted {

@@ -78,11 +78,11 @@ const FrontierKey = ^uint64(0)
 type EpochClock struct {
 	epoch atomic.Uint64
 
-	// commitMu serializes epoch advancement against multi-shard commit
-	// sequences: an ordered cross-shard commit holds the read side for its
-	// whole sub-commit sequence (GuardCommit), so every sub-commit's epoch
-	// validator sees the same current epoch and the sequence cannot tear;
-	// Tick holds the write side only for the increment itself.
+	// commitMu serializes epoch advancement against multi-shard commits: a
+	// cross-shard group commit holds the read side for its whole verdict
+	// (GuardCommit), so every member's epoch validator sees the same
+	// current epoch and the group lands in one cut; Tick holds the write
+	// side only for the increment itself.
 	commitMu sync.RWMutex
 
 	// advanceMu serializes whole advance sequences (tick + straggler wait
@@ -118,7 +118,7 @@ func (c *EpochClock) Tick() uint64 {
 
 // GuardCommit blocks epoch advancement until release is called and returns
 // the epoch that stays current for the whole guarded window. Multi-shard
-// commit sequences run under it so all their epoch validators agree.
+// group commits run under it so all their members' epoch validators agree.
 func (c *EpochClock) GuardCommit() (epoch uint64, release func()) {
 	c.commitMu.RLock()
 	return c.epoch.Load(), c.commitMu.RUnlock
@@ -508,7 +508,7 @@ func (es *EpochSys) TxEpoch(s *core.Session) uint64 {
 // to, or 0 when the session is outside a transaction (or the manager has no
 // epoch system attached). The sharded commit coordinator uses it to check
 // that every shard's sub-transaction sits in the same epoch cut before the
-// ordered sub-commit sequence starts.
+// group commit starts.
 func PinnedEpoch(s *core.Session) uint64 {
 	if s != nil && s.InTx() {
 		if ctx, ok := s.TxData.(*txCtx); ok {

@@ -38,9 +38,9 @@
 //	other statuses:   empty
 //
 // A transaction executes atomically under one engine transaction with every
-// key pre-declared through txengine.HintKeys, so on sharded engines the
-// whole shard set is predicted up front and the footprint-discovery restart
-// is never paid. Responses on one connection are written in request order,
+// key pre-declared through txengine.HintKeys, so on sharded engines a
+// multi-shard transaction latches its keys and queues behind overlapping
+// transactions instead of aborting against them. Responses on one connection are written in request order,
 // so pipelining clients may match responses positionally (ids are still
 // echoed for verification).
 //

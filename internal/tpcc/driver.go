@@ -48,9 +48,7 @@ func Run(st Store, cfg Config, threads int, dur time.Duration) Result {
 				} else {
 					// Payment's keys are known before the transaction, so
 					// draw first and hint them: on sharded engines the
-					// cross-shard ones skip discovery and, with latching
-					// on, commit under key latches instead of whole-shard
-					// locks.
+					// cross-shard ones run under key latches.
 					a := DrawPayment(cfg, rng, tid, &histSeq)
 					err = w.RunTxHinted(a.Keys(keyBuf[:0]), func(h Handle) error { return PaymentWith(h, a) })
 				}

@@ -20,9 +20,6 @@ type StoreOptions struct {
 	// Shards is the partition count for sharded engines (0: engine
 	// default); non-sharded engines ignore it.
 	Shards int
-	// NoLatch disables key-granular cross-shard latching on sharded
-	// engines (the -nolatch A/B knob); non-sharded engines ignore it.
-	NoLatch bool
 }
 
 // Engines returns the registry keys of every engine that can run TPC-C
@@ -80,7 +77,6 @@ func NewStore(engine string, opt StoreOptions) (Store, error) {
 		EpochLen:  opt.EpochLen,
 		RowCodec:  rowCodec(),
 		Shards:    opt.Shards,
-		NoLatch:   opt.NoLatch,
 	})
 	if err != nil {
 		return nil, err

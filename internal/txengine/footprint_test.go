@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -33,9 +34,7 @@ func distinctShardKeys(t testing.TB, se *shardedEngine, n int, start uint64) []u
 	return keys
 }
 
-// transferOnce is the shared transaction site for the footprint-cache tests:
-// every call Runs the same closure code, so the worker's cache accumulates
-// history for it across key pairs.
+// transferOnce Runs one unit transfer from src[from] to dst[to].
 func transferOnce(t *testing.T, tx Tx, src, dst Map[uint64], from, to uint64) {
 	t.Helper()
 	if err := tx.Run(func() error {
@@ -52,10 +51,9 @@ func transferOnce(t *testing.T, tx Tx, src, dst Map[uint64], from, to uint64) {
 	}
 }
 
-// TestShardedHintedTransferNoDiscovery: with both keys pre-declared via
-// HintKeys, cross-shard transfers must acquire their footprint up front —
-// zero discovery restarts, every cross-shard Run a footprint hit, and no
-// misses — while conserving value.
+// TestShardedHintedTransferNoDiscovery: hinted transfers on an idle engine
+// commit first time — no aborts, no retries — every cross-shard Run counts
+// one footprint hit and single-shard Runs none, and value is conserved.
 func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 	const iters = 400
 	eng, err := Build("medley-sharded", Config{Shards: 8})
@@ -87,11 +85,8 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 		transferOnce(t, tx, checking, savings, from, to)
 	}
 	d := eng.Stats().Delta(base)
-	if d.CrossShardRestarts != 0 {
-		t.Errorf("hinted transfers paid %d discovery restarts, want 0", d.CrossShardRestarts)
-	}
-	if d.FootprintMisses != 0 {
-		t.Errorf("hinted transfers counted %d misses, want 0", d.FootprintMisses)
+	if d.Aborts != 0 || d.Retries != 0 {
+		t.Errorf("idle hinted transfers aborted: %+v", d)
 	}
 	if d.FootprintHits != wantHits {
 		t.Errorf("FootprintHits = %d, want %d (one per cross-shard Run)", d.FootprintHits, wantHits)
@@ -112,109 +107,9 @@ func TestShardedHintedTransferNoDiscovery(t *testing.T) {
 	}
 }
 
-// TestShardedFootprintCacheConverges pins the cache's deterministic
-// convergence on a stable site: a fixed cross-shard key pair pays exactly
-// fpConfident discovery restarts (one per confidence-building Run), after
-// which every Run is a predicted hit with no further restarts.
-func TestShardedFootprintCacheConverges(t *testing.T) {
-	const iters = 50
-	eng, err := Build("medley-sharded", Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	se := eng.(*shardedEngine)
-	m1, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-	m2, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-
-	keys := distinctShardKeys(t, se, 2, 0)
-	init := eng.NewWorker(0)
-	m1.Put(init, keys[0], 10_000)
-	m2.Put(init, keys[1], 10_000)
-
-	tx := eng.NewWorker(1)
-	base := eng.Stats()
-	for i := 0; i < iters; i++ {
-		transferOnce(t, tx, m1, m2, keys[0], keys[1])
-	}
-	d := eng.Stats().Delta(base)
-	if d.CrossShardRestarts != fpConfident {
-		t.Errorf("stable site paid %d discovery restarts, want exactly fpConfident=%d", d.CrossShardRestarts, fpConfident)
-	}
-	if want := uint64(iters - fpConfident); d.FootprintHits != want {
-		t.Errorf("FootprintHits = %d, want %d (every Run after convergence)", d.FootprintHits, want)
-	}
-	if d.FootprintMisses != 0 {
-		t.Errorf("FootprintMisses = %d, want 0", d.FootprintMisses)
-	}
-}
-
-// TestShardedFootprintCacheInvalidatesOnShift: when a site's key
-// distribution shifts mid-run, the first predicted Run after the shift
-// mispredicts once, falls back to discovery (committing atomically), and
-// the cache re-converges on the new footprint.
-func TestShardedFootprintCacheInvalidatesOnShift(t *testing.T) {
-	const phase = 20
-	eng, err := Build("medley-sharded", Config{Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	se := eng.(*shardedEngine)
-	m1, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-	m2, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
-
-	// Four keys on four distinct shards: phase A transfers 0→1, phase B 2→3.
-	keys := distinctShardKeys(t, se, 4, 0)
-	init := eng.NewWorker(0)
-	for _, k := range keys {
-		m1.Put(init, k, 10_000)
-		m2.Put(init, k, 10_000)
-	}
-
-	tx := eng.NewWorker(1)
-	for i := 0; i < phase; i++ {
-		transferOnce(t, tx, m1, m2, keys[0], keys[1])
-	}
-	base := eng.Stats()
-	for i := 0; i < phase; i++ {
-		transferOnce(t, tx, m1, m2, keys[2], keys[3])
-	}
-	d := eng.Stats().Delta(base)
-	if d.FootprintMisses != 1 {
-		t.Errorf("shifted site counted %d misses, want exactly 1 (the stale prediction)", d.FootprintMisses)
-	}
-	// The mispredicted Run restarts twice (once dropping the stale set,
-	// once growing to the second new shard) and its commit already counts
-	// as the first fresh observation; the following fpConfident-1 Runs
-	// rebuild confidence with one discovery restart each; the rest hit.
-	if want := uint64(fpConfident + 1); d.CrossShardRestarts != want {
-		t.Errorf("shift paid %d restarts, want %d", d.CrossShardRestarts, want)
-	}
-	if want := uint64(phase - fpConfident); d.FootprintHits != want {
-		t.Errorf("FootprintHits after shift = %d, want %d", d.FootprintHits, want)
-	}
-	if d.Commits != phase {
-		t.Errorf("Commits = %d, want %d (every shifted Run must still commit)", d.Commits, phase)
-	}
-
-	// Atomicity across the shift: all value movements conserved.
-	audit := eng.NewWorker(2)
-	sum := uint64(0)
-	for _, k := range keys {
-		a, _ := m1.Get(audit, k)
-		b, _ := m2.Get(audit, k)
-		sum += a + b
-	}
-	if sum != 8*10_000 {
-		t.Fatalf("conservation violated across distribution shift: sum %d, want %d", sum, 8*10_000)
-	}
-}
-
-// TestShardedHintAuthoritative: a hint that resolves to a single shard must
-// suppress any stale cache prediction for that Run — the declared footprint
-// wins, so a converged multi-shard site followed by a hinted single-shard
-// Run pays neither a misprediction nor a restart.
+// TestShardedHintAuthoritative: a hint is consumed whole by the next Run
+// only, and one that resolves to a single shard counts no footprint hit
+// and latches nothing, even right after multi-shard hinted Runs.
 func TestShardedHintAuthoritative(t *testing.T) {
 	eng, err := Build("medley-sharded", Config{Shards: 8})
 	if err != nil {
@@ -231,35 +126,40 @@ func TestShardedHintAuthoritative(t *testing.T) {
 	m2.Put(init, keys[0], 1000)
 	m2.Put(init, keys[1], 1000)
 
-	// Converge the site on the cross-shard pair.
 	tx := eng.NewWorker(1)
-	for i := 0; i < fpConfident+2; i++ {
+	for i := 0; i < 3; i++ {
+		HintKeys(tx, keys[0], keys[1])
 		transferOnce(t, tx, m1, m2, keys[0], keys[1])
 	}
+	// An unhinted cross-shard Run: the previous hint must not carry over.
+	transferOnce(t, tx, m1, m2, keys[0], keys[1])
+	if d := eng.Stats(); d.FootprintHits != 3 {
+		t.Errorf("FootprintHits = %d after 3 hinted and 1 unhinted cross-shard Runs, want 3", d.FootprintHits)
+	}
 
-	// Same site, single-shard keys, hinted: the cache's {shard0, shard1}
-	// entry must not be consulted.
 	base := eng.Stats()
 	HintKeys(tx, keys[0], keys[0])
 	transferOnce(t, tx, m1, m2, keys[0], keys[0])
 	d := eng.Stats().Delta(base)
-	if d.FootprintMisses != 0 || d.CrossShardRestarts != 0 {
-		t.Errorf("hinted single-shard Run after a converged cross-shard site: misses=%d restarts=%d, want 0/0",
-			d.FootprintMisses, d.CrossShardRestarts)
+	if d.FootprintHits != 0 || d.LatchWaits != 0 {
+		t.Errorf("single-shard hint counted a hit or latched: %+v", d)
 	}
-	if d.FootprintHits != 0 {
-		t.Errorf("single-shard hint counted a hit (%d); only multi-shard pre-declarations count", d.FootprintHits)
+	if tx.(*shardedTx).latchKeys != nil {
+		t.Error("single-shard hinted Run set a latch set")
 	}
 }
 
-// TestShardedMispredictFallbackConservation is the concurrent misprediction
-// audit at shards 2 and 8: workers run transfers whose hints are frequently
-// wrong (stale keys hinted, fresh keys transacted), so predicted attempts
-// mispredict and fall back to discovery mid-flight, while auditors sweep
-// the whole ledger. Conservation must hold throughout and at the end.
+// TestShardedMispredictFallbackConservation is the concurrent stale-hint
+// audit. Every Run hints keys on two shards A and B but also touches a third
+// key the hint never named: at 8 shards that key lives on a third shard C,
+// so the group grows past the hinted shard set; at 2 shards it shares a
+// shard with a hinted key, so only the latch set is stale. Auditors sweep
+// the whole ledger meanwhile. Conservation must hold throughout and at the
+// end, and no attempt may restart: every closure execution beyond the
+// first of its Run is a counted conflict retry.
 func TestShardedMispredictFallbackConservation(t *testing.T) {
 	const (
-		accounts = 48
+		perShard = 6
 		perAcct  = 1000
 		workers  = 4
 		iters    = 250
@@ -271,14 +171,26 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			checking, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
-			savings, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
+			se := eng.(*shardedEngine)
+			ledger, _ := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 256})
+			// byShard[s] holds perShard accounts routed to shard s.
+			byShard := make([][]uint64, shards)
+			var all []uint64
+			next := uint64(0)
 			init := eng.NewWorker(0)
-			for a := uint64(0); a < accounts; a++ {
-				checking.Put(init, a, perAcct)
-				savings.Put(init, a, perAcct)
+			for s := range byShard {
+				for i := 0; i < perShard; i++ {
+					k := keyOnShard(t, se, s, next)
+					next = k + 1
+					byShard[s] = append(byShard[s], k)
+					all = append(all, k)
+					ledger.Put(init, k, perAcct)
+				}
 			}
+			want := uint64(len(all)) * perAcct
 
+			base := eng.Stats()
+			var execs atomic.Uint64
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -286,23 +198,32 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 					defer wg.Done()
 					tx := eng.NewWorker(1 + id)
 					rng := rand.New(rand.NewPCG(uint64(id)+7, uint64(shards)))
+					pick := func(s int) uint64 { return byShard[s][rng.IntN(perShard)] }
 					for i := 0; i < iters; i++ {
-						from := rng.Uint64N(accounts)
-						to := rng.Uint64N(accounts)
-						// Deliberately stale hint: declare a different key
-						// pair than the transaction will touch. On wide
-						// shard counts this mispredicts regularly; the
-						// fallback must stay atomic.
-						HintKeys(tx, rng.Uint64N(accounts), rng.Uint64N(accounts))
+						sa := rng.IntN(shards)
+						sb := (sa + 1 + rng.IntN(shards-1)) % shards
+						sc := sb // 2 shards: the unhinted key shares B
+						if shards > 2 {
+							for sc == sa || sc == sb {
+								sc = rng.IntN(shards)
+							}
+						}
+						a, b, c := pick(sa), pick(sb), pick(sc)
+						for c == b {
+							c = pick(sc)
+						}
+						HintKeys(tx, a, b) // stale: the Run also moves value to c
 						err := tx.Run(func() error {
-							c, ok := checking.Get(tx, from)
-							if !ok || c == 0 {
+							execs.Add(1)
+							va, _ := ledger.Get(tx, a)
+							if va < 2 {
 								return nil
 							}
-							amt := uint64(rng.IntN(int(min(c, 50))) + 1)
-							s, _ := savings.Get(tx, to)
-							checking.Put(tx, from, c-amt)
-							savings.Put(tx, to, s+amt)
+							vb, _ := ledger.Get(tx, b)
+							vc, _ := ledger.Get(tx, c)
+							ledger.Put(tx, a, va-2)
+							ledger.Put(tx, b, vb+1)
+							ledger.Put(tx, c, vc+1)
 							return nil
 						})
 						if err != nil {
@@ -328,16 +249,15 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 					sum := uint64(0)
 					err := tx.Run(func() error {
 						sum = 0
-						for a := uint64(0); a < accounts; a++ {
-							c, _ := checking.Get(tx, a)
-							s, _ := savings.Get(tx, a)
-							sum += c + s
+						for _, k := range all {
+							v, _ := ledger.Get(tx, k)
+							sum += v
 						}
 						return nil
 					})
-					if err == nil && sum != 2*accounts*perAcct {
+					if err == nil && sum != want {
 						select {
-						case violation <- fmt.Sprintf("committed sweep sums %d, want %d", sum, 2*accounts*perAcct):
+						case violation <- fmt.Sprintf("committed sweep sums %d, want %d", sum, want):
 						default:
 						}
 					}
@@ -348,26 +268,28 @@ func TestShardedMispredictFallbackConservation(t *testing.T) {
 			rwg.Wait()
 			select {
 			case v := <-violation:
-				t.Fatalf("misprediction fallback tore a transfer: %s", v)
+				t.Fatalf("stale hint tore a transfer: %s", v)
 			default:
 			}
 
 			final := eng.NewWorker(999)
 			sum := uint64(0)
-			for a := uint64(0); a < accounts; a++ {
-				c, _ := checking.Get(final, a)
-				s, _ := savings.Get(final, a)
-				sum += c + s
+			for _, k := range all {
+				v, _ := ledger.Get(final, k)
+				sum += v
 			}
-			if sum != 2*accounts*perAcct {
-				t.Fatalf("final sum %d != %d", sum, 2*accounts*perAcct)
+			if sum != want {
+				t.Fatalf("final sum %d != %d", sum, want)
 			}
-			if shards == 8 {
-				// At 8 shards disjoint key pairs are common, so the stale
-				// hints must actually have exercised the miss path.
-				if misses := eng.Stats().FootprintMisses; misses == 0 {
-					t.Error("stale hints produced no FootprintMisses at 8 shards; the fallback path went unexercised")
-				}
+			// Retries also counts the auditor's, so the bound is one-sided:
+			// a worker execution is either its Run's first or a conflict
+			// retry, never a footprint restart.
+			d := eng.Stats().Delta(base)
+			if got, max := execs.Load(), uint64(workers*iters)+d.Retries; got > max {
+				t.Errorf("%d worker executions for %d Runs and %d conflict retries: some attempt restarted", got, workers*iters, d.Retries)
+			}
+			if d.FootprintHits != uint64(workers*iters) {
+				t.Errorf("FootprintHits = %d, want %d (every worker Run hinted two shards)", d.FootprintHits, workers*iters)
 			}
 		})
 	}

@@ -2,15 +2,14 @@ package txengine
 
 import "sync"
 
-// Key-granular latches for cross-shard commits.
+// Key latches for hinted multi-shard transactions.
 //
-// The sharded runtime's original cross-shard path serializes behind
-// whole-shard exclusive locks: one hot shard gates every cross-shard
-// transaction that touches it, even when their key sets are disjoint. The
-// footprint layer (footprint.go) already tells the runtime the precise keys
-// most cross-shard transactions will touch — a HintKeys pre-declaration or a
-// confident cache entry — so those transactions can instead latch exactly
-// their declared keys and leave the rest of the shard to concurrent traffic.
+// Every sharded transaction commits optimistically as one shared-fate group
+// (sharded.go), so latches are never needed for atomicity. They are a
+// scheduler: when hinted multi-shard transactions overlap on hot keys, a
+// purely optimistic run lets them abort each other over and over, while
+// latching their declared keys (footprint.go) makes them queue and
+// pipeline through the hot key in arrival order instead.
 //
 // latchTable is that mechanism: a bucketed table of per-key latches in the
 // spirit of tinykv's latches scheduler. Each bucket holds a mutex-protected
@@ -20,22 +19,14 @@ import "sync"
 // to the head waiter without ever marking the latch free, so wake order is
 // exactly arrival order and no waiter can be starved by a barging newcomer.
 //
-// Deadlock freedom is by ordering, as everywhere else in the sharded
-// runtime: acquireAll takes latches in ascending key order, and every
-// transaction sorts (and dedupes) its key set before acquiring, so the
-// classic total-order argument applies. The shard read locks a latched
-// transaction also holds are acquired before any latch and released after
-// every latch, and latch holders never block on a shard lock's write side,
-// so the two layers cannot entangle.
-//
-// Latches schedule; they do not isolate. Correctness of the latched commit
-// comes from core.TxGroup (shared-fate atomic multi-descriptor commit) plus
-// the base engines' optimistic machinery — key-disjoint transactions can
-// still conflict through adjacent-node read-set entries, and unlatched
-// single-shard transactions run concurrently under the same shard read
-// locks. The latches exist to stop latched transactions with overlapping
-// declared footprints from repeatedly aborting each other on hot keys: they
-// queue instead, in FIFO order, and the hot key's traffic pipelines.
+// Deadlock freedom is by ordering: acquireAll takes latches in ascending
+// key order, and every transaction sorts (and dedupes) its key set before
+// acquiring, so the classic total-order argument applies. Beyond latches, a
+// latch holder only ever waits on the epoch clock's commit guard, whose
+// writer (the epoch advance) takes no latch, so the two cannot deadlock;
+// conflicts between transactions abort rather than wait. Key-disjoint transactions can still conflict through
+// adjacent-node read-set entries, and unhinted transactions never latch;
+// both are resolved by the optimistic machinery as usual.
 
 // latchTableBuckets is the number of latch buckets. Power of two; 256
 // buckets keep bucket collisions (two distinct hot keys sharing a mutex)
@@ -44,9 +35,9 @@ import "sync"
 const latchTableBuckets = 256
 
 // latchMaxKeys caps the key set a transaction may latch. Oversized
-// footprints (bulk-load chunks hint hundreds of keys) fall back to
-// whole-shard locks: latching them would cost more in acquire/release
-// traffic than the shard lock costs in lost concurrency.
+// footprints (bulk-load chunks hint hundreds of keys) run unlatched:
+// latching them would cost more in acquire/release traffic than the aborts
+// it avoids.
 const latchMaxKeys = 32
 
 // latchWaiter is one transaction's reusable wait token: a one-slot channel
@@ -177,9 +168,8 @@ func (lt *latchTable) releaseAll(keys []uint64) {
 }
 
 // insertKey inserts k into an ascending, deduplicated key set in place,
-// returning the (possibly grown) slice — insertShard's uint64 twin, used
-// for hinted and learned latch key sets. Sets are capped at latchMaxKeys
-// elsewhere, so the linear scan is fine.
+// returning the (possibly grown) slice; used for hinted latch key sets.
+// Sets are capped at latchMaxKeys elsewhere, so the linear scan is fine.
 func insertKey(set []uint64, k uint64) []uint64 {
 	for i, v := range set {
 		if v == k {

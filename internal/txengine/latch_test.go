@@ -179,10 +179,10 @@ func TestInsertKey(t *testing.T) {
 	}
 }
 
-// TestShardedLatchedHintZeroRestart pins the latched fast path end to end:
-// on an idle sharded engine, a hinted cross-shard transaction must commit
-// with no discovery restart and no whole-shard fallback — the hint routes it
-// straight through read locks + key latches + the linked-group commit.
+// TestShardedLatchedHintZeroRestart pins the hinted path end to end: on an
+// idle sharded engine, a hinted cross-shard transaction latches its keys,
+// joins its second shard, and commits first time — its closure runs once,
+// it counts one footprint hit, and it waits on no latch.
 func TestShardedLatchedHintZeroRestart(t *testing.T) {
 	eng, err := Build("medley-sharded", Config{Shards: 8})
 	if err != nil {
@@ -195,18 +195,14 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 	}
 	tx := eng.NewWorker(0)
 	se := eng.(*shardedEngine)
-	// Two keys guaranteed to live on different shards.
-	a, b := uint64(0), uint64(0)
-	for k := uint64(1); ; k++ {
-		if se.shardOf(k) != se.shardOf(a) {
-			b = k
-			break
-		}
-	}
+	keys := distinctShardKeys(t, se, 2, 0)
+	a, b := keys[0], keys[1]
 	base := eng.Stats()
+	execs := 0
 	for i := 0; i < 10; i++ {
 		HintKeys(tx, a, b)
 		if err := tx.Run(func() error {
+			execs++
 			m.Put(tx, a, uint64(i))
 			m.Put(tx, b, uint64(i))
 			return nil
@@ -215,22 +211,19 @@ func TestShardedLatchedHintZeroRestart(t *testing.T) {
 		}
 	}
 	d := eng.Stats().Delta(base)
-	if d.CrossShardRestarts != 0 {
-		t.Errorf("hinted runs discovery-restarted %d times", d.CrossShardRestarts)
+	if execs != 10 || d.Commits != 10 || d.Aborts != 0 {
+		t.Errorf("10 hinted Runs executed %d times: %+v", execs, d)
 	}
-	if d.LatchFallbacks != 0 {
-		t.Errorf("hinted runs fell back to whole-shard locks %d times", d.LatchFallbacks)
-	}
-	if d.Commits == 0 {
-		t.Errorf("no commits recorded: %+v", d)
+	if d.FootprintHits != 10 || d.LatchWaits != 0 {
+		t.Errorf("want 10 footprint hits and no latch waits: %+v", d)
 	}
 }
 
 // TestShardedLatchedTransferStress is the engine-level race test for the
-// latched commit path: workers run hinted transfers over a small overlapping
-// account set at 2 and 8 shards, with latching on and off, and the total
-// must be conserved — any torn linked-group commit or latch/epoch ordering
-// bug shows up as drift or a -race report.
+// shared-fate commit: workers run transfers over a small overlapping account
+// set at 2 and 8 shards, hinted (latched) and unhinted (purely optimistic
+// lazy join), and the total must be conserved — any torn group commit or
+// latch/epoch ordering bug shows up as drift or a -race report.
 func TestShardedLatchedTransferStress(t *testing.T) {
 	const (
 		accounts = 12 // tiny: nearly every pair of workers overlaps
@@ -239,9 +232,10 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 		iters    = 400
 	)
 	for _, shards := range []int{2, 8} {
-		for _, noLatch := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/nolatch=%v", shards, noLatch), func(t *testing.T) {
-				eng, err := Build("medley-sharded", Config{Shards: shards, NoLatch: noLatch})
+		for _, hints := range []bool{true, false} {
+			// The label names the effect: unhinted Runs take no latches.
+			t.Run(fmt.Sprintf("shards=%d/nolatch=%v", shards, !hints), func(t *testing.T) {
+				eng, err := Build("medley-sharded", Config{Shards: shards})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -265,7 +259,9 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 							from := rng.Uint64N(accounts)
 							to := rng.Uint64N(accounts)
 							amt := uint64(rng.IntN(5) + 1)
-							HintKeys(tx, from, to)
+							if hints {
+								HintKeys(tx, from, to)
+							}
 							if err := tx.Run(func() error {
 								f, _ := m.Get(tx, from)
 								if f < amt {
@@ -273,7 +269,7 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 								}
 								m.Put(tx, from, f-amt)
 								// Yield mid-transaction (latches held on the
-								// latched path) so workers genuinely overlap
+								// hinted path) so workers genuinely overlap
 								// even on a single-P host.
 								runtime.Gosched()
 								v, _ := m.Get(tx, to)
@@ -297,11 +293,11 @@ func TestShardedLatchedTransferStress(t *testing.T) {
 					t.Errorf("total %d, want %d: money not conserved", sum, accounts*perAcct)
 				}
 				d := eng.Stats()
-				if noLatch && d.LatchWaits != 0 {
-					t.Errorf("NoLatch engine reported latch waits: %+v", d)
+				if !hints && (d.LatchWaits != 0 || d.FootprintHits != 0) {
+					t.Errorf("unhinted run latched or counted hits: %+v", d)
 				}
-				if !noLatch && shards > 1 && d.LatchWaits == 0 {
-					t.Errorf("latched overlapping stress never waited on a latch: %+v", d)
+				if hints && d.LatchWaits == 0 {
+					t.Errorf("hinted overlapping stress never waited on a latch: %+v", d)
 				}
 			})
 		}

@@ -330,33 +330,6 @@ func (t *sessionTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bo
 func (t *sessionTx) snapAgent() *snapAgent { return &t.snap }
 func (t *sessionTx) snapBuffering() bool   { return t.s.InTx() }
 
-// beginManual / commitManual / abortManual implement manualTx: the sharded
-// decorator drives the session's transaction scope explicitly so that one
-// logical transaction can hold open sub-transactions on several shards'
-// TxManagers at once.
-var _ manualTx = (*sessionTx)(nil)
-
-func (t *sessionTx) beginManual() { t.s.TxBegin() }
-
-func (t *sessionTx) commitManual() error { return t.s.TxEnd() }
-
-func (t *sessionTx) abortManual() {
-	if t.s.InTx() {
-		t.s.TxAbort()
-	}
-}
-
-// coreSession implements the sharded decorator's sessionProvider seam: the
-// underlying core session, through which the latched cross-shard path links
-// per-shard sub-transactions into one shared-fate core.TxGroup.
-func (t *sessionTx) coreSession() *core.Session { return t.s }
-
-// pinnedEpoch implements the sharded decorator's epochPinned seam: the
-// epoch the open manual transaction is pinned to, or 0 on transient bases.
-// The cross-shard commit coordinator compares it across shards to guarantee
-// every sub-commit sits in the same epoch cut before committing any.
-func (t *sessionTx) pinnedEpoch() uint64 { return montage.PinnedEpoch(t.s) }
-
 func (t *sessionTx) RunRead(fn func()) {
 	_ = t.Run(func() error { fn(); return nil })
 }

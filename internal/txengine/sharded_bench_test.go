@@ -1,11 +1,10 @@
 package txengine
 
 // Hot-path microbenchmarks for the sharded runtime: key routing, the
-// single-shard commit fast path, cross-shard commits via discovery, hints
-// (now the latched path) and their whole-shard-locked control, the latch
-// table itself, and the footprint cache's hit and miss paths.
-// scripts/bench.sh runs the suite and emits BENCH_6.json; CI runs it at
-// -benchtime=1x so the benches always compile and execute.
+// single-shard commit fast path, cross-shard group commits unhinted (lazy
+// join) and hinted (latched), disjoint-key hinted transfers under
+// contention, and the latch table itself. scripts/bench.sh runs the suite;
+// CI runs it at -benchtime=1x so the benches always compile and execute.
 
 import (
 	"runtime"
@@ -16,12 +15,8 @@ import (
 const benchShards = 8
 
 func benchEngine(b *testing.B) (*shardedEngine, Map[uint64], Map[uint64], *shardedTx) {
-	return benchEngineCfg(b, Config{Shards: benchShards})
-}
-
-func benchEngineCfg(b *testing.B, cfg Config) (*shardedEngine, Map[uint64], Map[uint64], *shardedTx) {
 	b.Helper()
-	eng, err := Build("medley-sharded", cfg)
+	eng, err := Build("medley-sharded", Config{Shards: benchShards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,11 +73,23 @@ func BenchmarkSingleShardCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossShardCommitDiscovery measures the unpredicted cross-shard
-// path: the transaction discovers its second shard by restart every time.
-// Alternating between two key pairs with different footprints keeps the
-// footprint cache below its confidence bar, so no Run is pre-declared.
-func BenchmarkCrossShardCommitDiscovery(b *testing.B) {
+// crossShardTransfer is the body of the cross-shard commit benches: a unit
+// transfer between two maps, alternating between two key pairs on four
+// distinct shards.
+func crossShardTransfer(tx Tx, m1, m2 Map[uint64], from, to uint64) {
+	_ = tx.Run(func() error {
+		v, _ := m1.Get(tx, from)
+		m1.Put(tx, from, v-1)
+		w, _ := m2.Get(tx, to)
+		m2.Put(tx, to, w+1)
+		return nil
+	})
+}
+
+// BenchmarkCrossShardCommitUnhinted measures the unhinted cross-shard path:
+// the Run opens its first shard solo and the second shard's
+// sub-transaction joins it lazily; one group commit, no latches.
+func BenchmarkCrossShardCommitUnhinted(b *testing.B) {
 	se, m1, m2, tx := benchEngine(b)
 	keys := distinctShardKeys(b, se, 4, 0)
 	for _, k := range keys {
@@ -94,19 +101,13 @@ func BenchmarkCrossShardCommitDiscovery(b *testing.B) {
 		if i&1 == 1 {
 			from, to = keys[2], keys[3]
 		}
-		_ = tx.Run(func() error {
-			v, _ := m1.Get(tx, from)
-			m1.Put(tx, from, v-1)
-			w, _ := m2.Get(tx, to)
-			m2.Put(tx, to, w+1)
-			return nil
-		})
+		crossShardTransfer(tx, m1, m2, from, to)
 	}
 }
 
 // BenchmarkCrossShardCommitHinted measures the same cross-shard transaction
-// with both keys pre-declared via HintKeys: locks acquired up front, no
-// discovery restart.
+// with both keys pre-declared via HintKeys, so the Run also takes and
+// releases both keys' latches.
 func BenchmarkCrossShardCommitHinted(b *testing.B) {
 	se, m1, m2, tx := benchEngine(b)
 	keys := distinctShardKeys(b, se, 4, 0)
@@ -120,58 +121,21 @@ func BenchmarkCrossShardCommitHinted(b *testing.B) {
 			from, to = keys[2], keys[3]
 		}
 		HintKeys(tx, from, to)
-		_ = tx.Run(func() error {
-			v, _ := m1.Get(tx, from)
-			m1.Put(tx, from, v-1)
-			w, _ := m2.Get(tx, to)
-			m2.Put(tx, to, w+1)
-			return nil
-		})
+		crossShardTransfer(tx, m1, m2, from, to)
 	}
 }
 
-// BenchmarkCrossShardCommitHintedNoLatch is the whole-shard-locked control
-// for BenchmarkCrossShardCommitHinted: same hinted transaction on an engine
-// built with Config.NoLatch, so every cross-shard commit takes exclusive
-// shard locks instead of key latches. The uncontended delta between the two
-// is the latched path's overhead (group link + latch acquire/release); under
-// contention the latched path wins by not serializing whole shards.
-func BenchmarkCrossShardCommitHintedNoLatch(b *testing.B) {
-	se, m1, m2, tx := benchEngineCfg(b, Config{Shards: benchShards, NoLatch: true})
-	keys := distinctShardKeys(b, se, 4, 0)
-	for _, k := range keys {
-		m1.Put(tx, k, 1<<40)
-	}
-	b.ResetTimer()
-	for i := 0; b.N > i; i++ {
-		from, to := keys[0], keys[1]
-		if i&1 == 1 {
-			from, to = keys[2], keys[3]
-		}
-		HintKeys(tx, from, to)
-		_ = tx.Run(func() error {
-			v, _ := m1.Get(tx, from)
-			m1.Put(tx, from, v-1)
-			w, _ := m2.Get(tx, to)
-			m2.Put(tx, to, w+1)
-			return nil
-		})
-	}
-}
-
-// benchDisjointContended drives several goroutines through hinted
-// cross-shard transfers whose key pairs are pairwise disjoint but all live
-// on the same two shards — the shape key-granular latching exists for. Each
+// BenchmarkCrossShardDisjointContendedLatched drives several goroutines
+// through hinted cross-shard transfers whose key pairs are pairwise
+// disjoint but all live on the same two shards. Each
 // body yields once mid-transaction so transactions genuinely overlap in
 // time (on a host with fewer Ps than workers they otherwise run to
-// completion back to back and nothing contends). Latched, the yielded-to
-// workers proceed concurrently — no two ever touch a common key — and all
-// eight stay in flight; shard-locked, whoever yields still holds both
-// shards exclusively, so the others convoy behind the locks and the
-// rotation degrades to one transaction at a time.
-func benchDisjointContended(b *testing.B, noLatch bool) {
+// completion back to back and nothing contends). The yielded-to workers
+// proceed concurrently — no two ever touch a common key or latch — and all
+// eight stay in flight.
+func BenchmarkCrossShardDisjointContendedLatched(b *testing.B) {
 	const workers = 8
-	se, m1, m2, init := benchEngineCfg(b, Config{Shards: benchShards, NoLatch: noLatch})
+	se, m1, m2, init := benchEngine(b)
 	var pairs [workers][2]uint64
 	next := uint64(0)
 	for g := range pairs {
@@ -205,23 +169,10 @@ func benchDisjointContended(b *testing.B, noLatch bool) {
 	})
 }
 
-// BenchmarkCrossShardDisjointContendedLatched: 8 workers, disjoint key
-// pairs, one hot shard pair, key latches on.
-func BenchmarkCrossShardDisjointContendedLatched(b *testing.B) {
-	benchDisjointContended(b, false)
-}
-
-// BenchmarkCrossShardDisjointContendedNoLatch is the whole-shard-locked
-// control of the same workload; the gap between the two is the latch
-// layer's headline.
-func BenchmarkCrossShardDisjointContendedNoLatch(b *testing.B) {
-	benchDisjointContended(b, true)
-}
-
 // BenchmarkLatchAcquireRelease measures the uncontended latch hot path: a
 // four-key sorted set acquired and released per iteration (the payment
-// shape), all latches free — the cost a latched commit pays over a
-// shard-locked one before any contention.
+// shape), all latches free — the cost a hinted commit pays over an
+// unhinted one before any contention.
 func BenchmarkLatchAcquireRelease(b *testing.B) {
 	lt := newLatchTable()
 	w := newLatchWaiter()
@@ -252,52 +203,6 @@ func BenchmarkLatchContendedHandoff(b *testing.B) {
 		}()
 	}
 	wg.Wait()
-}
-
-// BenchmarkFootprintCacheHit measures a converged site: a stable key pair
-// whose footprint the worker's cache predicts, so every measured Run
-// acquires its shard set up front with no hint and no restart.
-func BenchmarkFootprintCacheHit(b *testing.B) {
-	se, m1, m2, tx := benchEngine(b)
-	keys := distinctShardKeys(b, se, 2, 0)
-	m1.Put(tx, keys[0], 1<<40)
-	body := func() error {
-		v, _ := m1.Get(tx, keys[0])
-		m1.Put(tx, keys[0], v-1)
-		w, _ := m2.Get(tx, keys[1])
-		m2.Put(tx, keys[1], w+1)
-		return nil
-	}
-	for i := 0; i < fpConfident+1; i++ {
-		_ = tx.Run(body) // converge the cache
-	}
-	b.ResetTimer()
-	for i := 0; b.N > i; i++ {
-		_ = tx.Run(body)
-	}
-}
-
-// BenchmarkFootprintCacheMissFallback measures the misprediction fallback:
-// every Run pre-declares a wrong shard set (a stale hint) and pays the
-// full miss path — rollback, restart seeded from the shards actually
-// touched, discovery, commit.
-func BenchmarkFootprintCacheMissFallback(b *testing.B) {
-	se, m1, m2, tx := benchEngine(b)
-	keys := distinctShardKeys(b, se, 4, 0)
-	for _, k := range keys {
-		m1.Put(tx, k, 1<<40)
-	}
-	b.ResetTimer()
-	for i := 0; b.N > i; i++ {
-		HintKeys(tx, keys[0], keys[1]) // stale: the body touches keys[2], keys[3]
-		_ = tx.Run(func() error {
-			v, _ := m1.Get(tx, keys[2])
-			m1.Put(tx, keys[2], v-1)
-			w, _ := m2.Get(tx, keys[3])
-			m2.Put(tx, keys[3], w+1)
-			return nil
-		})
-	}
 }
 
 // sinkInt defeats dead-code elimination in the routing benches.

@@ -90,6 +90,51 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
+// TestShardedUnhintedCrossShardRunsOnce: on an idle engine, an unhinted
+// Run that reaches three shards — each reached only after the previous
+// one's writes are installed — invokes its closure exactly once: later
+// shards join the Run's group instead of restarting it to discover its
+// footprint. The commit is one atomic group.
+func TestShardedUnhintedCrossShardRunsOnce(t *testing.T) {
+	for _, engName := range []string{"medley-sharded", "txmontage-sharded"} {
+		t.Run(engName, func(t *testing.T) {
+			eng, err := Build(engName, Config{Shards: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := distinctShardKeys(t, eng.(*shardedEngine), 3, 0)
+			tx := eng.NewWorker(0)
+			base := eng.Stats()
+			execs := 0
+			if err := tx.Run(func() error {
+				execs++
+				for i, k := range keys {
+					m.Put(tx, k, uint64(i+1))
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if execs != 1 {
+				t.Errorf("closure ran %d times, want exactly 1", execs)
+			}
+			if d := eng.Stats().Delta(base); d.Commits != 1 || d.Aborts != 0 {
+				t.Errorf("want one clean commit: %+v", d)
+			}
+			for i, k := range keys {
+				if v, ok := m.Get(tx, k); !ok || v != uint64(i+1) {
+					t.Errorf("key %d = %d,%v after commit, want %d", k, v, ok, i+1)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedCrossShardTransfer is the dedicated cross-shard atomicity
 // test: at shard counts 1, 2, and 8, concurrent workers move value between
 // two maps (accounts deliberately spread over every shard) while readers

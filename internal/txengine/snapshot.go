@@ -144,8 +144,8 @@ type snapSlot struct {
 // snapTier is the per-engine clock + watermark state shared by every worker
 // and every snapMap of one engine. A sharded engine owns exactly one tier —
 // its sub-engines are built with version stamping disabled — so a
-// cross-shard transaction (including a PR 6 shared-fate latch group)
-// stamps exactly one timestamp for the whole group.
+// cross-shard transaction's shared-fate group stamps exactly one timestamp
+// for the whole group.
 type snapTier struct {
 	clock   atomic.Uint64 // last drawn commit timestamp
 	sealed  atomic.Uint64 // highest timestamp safe for snapshots to read

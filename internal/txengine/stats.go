@@ -17,31 +17,16 @@ import (
 //     the difference is the business aborts).
 //   - Fallbacks: NoTx bodies the engine could not run uninstrumented and
 //     wrapped in a transaction instead (engines without CapNoTx).
-//   - CrossShardRestarts: attempts a sharded engine re-executed because the
-//     transaction touched a shard outside its known footprint (the
-//     footprint-discovery restart of sharded.go). These are not conflicts —
-//     nobody aborted anybody — so they are counted separately from Aborts
-//     and Retries; a high rate means the workload is cross-shard-heavy and
-//     paying the discovery cost. Zero on non-sharded engines.
-//   - FootprintHits: Runs whose pre-declared shard set (a HintKeys hint or
-//     a confident footprint-cache entry — see footprint.go) covered every
-//     operation, so the cross-shard locks were acquired up front and no
-//     discovery restart was paid. At most one per Run.
-//   - FootprintMisses: Runs whose pre-declared shard set proved wrong (an
-//     operation escaped it); the Run fell back to the discovery path and
-//     the stale cache entry was invalidated. At most one per Run. Hits and
-//     misses count only pre-declared Runs: plain discovery moves neither.
-//   - LatchWaits: key latches a latched cross-shard attempt had to queue
-//     for because another latched transaction held them (see latch.go). A
-//     high rate relative to Commits means declared footprints overlap on
-//     hot keys — traffic is pipelining through the latch FIFO rather than
+//   - FootprintHits: multi-shard hinted Runs — Runs whose pending
+//     HintKeys/HintQueues declaration spans more than one shard (see
+//     footprint.go). At most one per Run.
+//   - LatchWaits: key latches a hinted multi-shard attempt had to queue for
+//     because another hinted transaction held them (see latch.go). A high
+//     rate relative to Commits means declared footprints overlap on hot
+//     keys — traffic is pipelining through the latch FIFO rather than
 //     aborting, which is the latch layer doing its job.
-//   - LatchFallbacks: cross-shard attempts that took whole-shard exclusive
-//     locks even though key latching was enabled — discovery mode (no
-//     declared keys), mispredictions retrying, oversized key sets (>
-//     latchMaxKeys), or a base engine without shared-fate commit support.
-//     Zero when latching is disabled (Config.NoLatch) or the engine is
-//     unsharded.
+//   - CrossShardRestarts, FootprintMisses, LatchFallbacks: always 0, kept
+//     only because benchmark readers still report them.
 //   - SnapshotReads: SnapshotRead transactions served from the MVCC version
 //     tier (see snapshot.go). Each also counts as a Commit — a snapshot is
 //     a committed read-only transaction — and by construction contributes
@@ -75,11 +60,8 @@ func (s *Stats) Add(o Stats) {
 	s.Aborts += o.Aborts
 	s.Retries += o.Retries
 	s.Fallbacks += o.Fallbacks
-	s.CrossShardRestarts += o.CrossShardRestarts
 	s.FootprintHits += o.FootprintHits
-	s.FootprintMisses += o.FootprintMisses
 	s.LatchWaits += o.LatchWaits
-	s.LatchFallbacks += o.LatchFallbacks
 	s.SnapshotReads += o.SnapshotReads
 	s.SnapshotStale += o.SnapshotStale
 }
@@ -87,49 +69,40 @@ func (s *Stats) Add(o Stats) {
 // Delta returns the counters accumulated since the prev snapshot.
 func (s Stats) Delta(prev Stats) Stats {
 	return Stats{
-		Commits:            s.Commits - prev.Commits,
-		Aborts:             s.Aborts - prev.Aborts,
-		Retries:            s.Retries - prev.Retries,
-		Fallbacks:          s.Fallbacks - prev.Fallbacks,
-		CrossShardRestarts: s.CrossShardRestarts - prev.CrossShardRestarts,
-		FootprintHits:      s.FootprintHits - prev.FootprintHits,
-		FootprintMisses:    s.FootprintMisses - prev.FootprintMisses,
-		LatchWaits:         s.LatchWaits - prev.LatchWaits,
-		LatchFallbacks:     s.LatchFallbacks - prev.LatchFallbacks,
-		SnapshotReads:      s.SnapshotReads - prev.SnapshotReads,
-		SnapshotStale:      s.SnapshotStale - prev.SnapshotStale,
+		Commits:       s.Commits - prev.Commits,
+		Aborts:        s.Aborts - prev.Aborts,
+		Retries:       s.Retries - prev.Retries,
+		Fallbacks:     s.Fallbacks - prev.Fallbacks,
+		FootprintHits: s.FootprintHits - prev.FootprintHits,
+		LatchWaits:    s.LatchWaits - prev.LatchWaits,
+		SnapshotReads: s.SnapshotReads - prev.SnapshotReads,
+		SnapshotStale: s.SnapshotStale - prev.SnapshotStale,
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("commits=%d aborts=%d retries=%d fallbacks=%d xrestarts=%d fphits=%d fpmisses=%d latchw=%d latchfb=%d snapreads=%d snapstale=%d",
-		s.Commits, s.Aborts, s.Retries, s.Fallbacks, s.CrossShardRestarts, s.FootprintHits, s.FootprintMisses,
-		s.LatchWaits, s.LatchFallbacks, s.SnapshotReads, s.SnapshotStale)
+	return fmt.Sprintf("commits=%d aborts=%d retries=%d fallbacks=%d fphits=%d latchw=%d snapreads=%d snapstale=%d",
+		s.Commits, s.Aborts, s.Retries, s.Fallbacks, s.FootprintHits, s.LatchWaits, s.SnapshotReads, s.SnapshotStale)
 }
 
 // counters is the shared engine-level accumulator behind Engine.Stats.
 // Fields are atomic: all of an engine's Tx handles bump the same instance.
 type counters struct {
 	commits, aborts, retries, fallbacks atomic.Uint64
-	crossRestarts                       atomic.Uint64
-	fpHits, fpMisses                    atomic.Uint64
-	latchWaits, latchFallbacks          atomic.Uint64
+	fpHits, latchWaits                  atomic.Uint64
 	snapReads, snapStale                atomic.Uint64
 }
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Commits:            c.commits.Load(),
-		Aborts:             c.aborts.Load(),
-		Retries:            c.retries.Load(),
-		Fallbacks:          c.fallbacks.Load(),
-		CrossShardRestarts: c.crossRestarts.Load(),
-		FootprintHits:      c.fpHits.Load(),
-		FootprintMisses:    c.fpMisses.Load(),
-		LatchWaits:         c.latchWaits.Load(),
-		LatchFallbacks:     c.latchFallbacks.Load(),
-		SnapshotReads:      c.snapReads.Load(),
-		SnapshotStale:      c.snapStale.Load(),
+		Commits:       c.commits.Load(),
+		Aborts:        c.aborts.Load(),
+		Retries:       c.retries.Load(),
+		Fallbacks:     c.fallbacks.Load(),
+		FootprintHits: c.fpHits.Load(),
+		LatchWaits:    c.latchWaits.Load(),
+		SnapshotReads: c.snapReads.Load(),
+		SnapshotStale: c.snapStale.Load(),
 	}
 }
 

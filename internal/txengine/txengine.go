@@ -147,18 +147,11 @@ type Config struct {
 	// (0: DefaultShards). Non-sharded engines ignore it. Validated centrally
 	// by every registry construction path — see Validate.
 	Shards int
-	// NoLatch disables key-granular latching on sharded engines: every
-	// cross-shard transaction takes whole-shard exclusive locks, as it did
-	// before the latch manager existed. An A/B escape hatch for measurement
-	// (-nolatch in the CLIs) and a kill switch should latching ever
-	// misbehave; non-sharded engines ignore it.
-	NoLatch bool
 	// snapOff disables the MVCC snapshot tier on engines that would
 	// otherwise carry one. Set internally by the sharded decorator for its
 	// sub-engines: the decorator owns the single tier-wide clock and wraps
-	// only its top-level maps, so a cross-shard transaction stamps exactly
-	// one version for the whole shard set (and PR 6 shared-fate groups
-	// stamp one version for the whole group).
+	// only its top-level maps, so a cross-shard transaction's shared-fate
+	// group stamps exactly one version for the whole shard set.
 	snapOff bool
 }
 
@@ -438,9 +431,9 @@ func init() {
 	// with a coordinator that advances all shards to mutually consistent
 	// boundaries (see sharded.go). Registered after their bases so Lookup
 	// resolves during construction.
-	Register(Builder{Key: "medley-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned Medley: per-shard TxManagers, ordered cross-shard commit",
+	Register(Builder{Key: "medley-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned Medley: per-shard TxManagers, shared-fate cross-shard commit",
 		New: func(cfg Config) (Engine, error) { return newShardedEngine("medley", cfg) }})
-	Register(Builder{Key: "txmontage-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned txMontage: per-shard epoch systems + devices, coordinated epoch advance, merge-on-recover",
+	Register(Builder{Key: "txmontage-sharded", Caps: medleyCaps, Sharded: true, Doc: "hash-partitioned txMontage: per-shard epoch systems + devices, shared-fate cross-shard commit in one epoch cut, coordinated epoch advance, merge-on-recover",
 		New: func(cfg Config) (Engine, error) { return newShardedEngine("txmontage", cfg) }})
 	Register(Builder{Key: "original-sharded", Caps: originalCaps, Sharded: true, Doc: "hash-partitioned untransformed baseline (no transactions)",
 		New: func(cfg Config) (Engine, error) { return newShardedEngine("original", cfg) }})

@@ -70,9 +70,9 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 		tx := eng.NewWorker(tid)
 		rng := rand.New(rand.NewPCG(cfg.seed(), uint64(tid)+1))
 		// Accounts draw uniformly by default; Config.ZipfS > 1 skews the
-		// draws toward a few hot accounts (the contention knob of the latch
-		// A/B measurements — under skew, whole-shard locking serializes the
-		// hot shard while key latches only serialize the hot accounts).
+		// draws toward a few hot accounts (the contention knob of the hints
+		// A/B — under skew, key latches queue transfers on the hot accounts
+		// that would otherwise abort each other).
 		draw := func() uint64 { return rng.Uint64N(accounts) }
 		if cfg.ZipfS > 1 {
 			z := rand.NewZipf(rng, cfg.ZipfS, 1, accounts-1)
@@ -83,9 +83,9 @@ func runTransfer(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, e
 			from := draw()
 			to := draw()
 			// Both account keys are known before the transaction begins —
-			// the transfer shape's planner hint. On sharded engines the
-			// pre-declared shard set is locked up front, skipping the
-			// footprint-discovery restart; elsewhere HintKeys is a no-op.
+			// the transfer shape's planner hint. On sharded engines a
+			// cross-shard transfer latches both keys; elsewhere HintKeys is
+			// a no-op.
 			if hints {
 				hintKeys[0], hintKeys[1] = from, to
 				txengine.HintKeys(tx, hintKeys[:]...)

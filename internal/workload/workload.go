@@ -49,11 +49,6 @@ type Config struct {
 	// Shards is the partition count for sharded engines (0: engine
 	// default); non-sharded engines ignore it.
 	Shards int
-	// NoLatch disables key-granular cross-shard latching on sharded
-	// engines: cross-shard transactions take whole-shard exclusive locks
-	// as they did before the latch manager. The A/B control for latch
-	// measurements; non-sharded engines ignore it.
-	NoLatch bool
 
 	// ZipfS is the Zipf skew exponent (>1.0). Higher values concentrate
 	// traffic on fewer hot keys. The cache scenario always skews (0: 1.2);
@@ -92,10 +87,9 @@ type Config struct {
 
 	// NoHints disables the footprint hints scenarios pass to sharded
 	// engines (txengine.HintKeys). Hints let a transaction that knows its
-	// keys up front — a transfer knows both accounts — pre-declare its
-	// shard set and skip the cross-shard discovery restart; disabling them
-	// measures the bare discovery path. No-ops on non-sharded engines
-	// either way.
+	// keys up front — a transfer knows both accounts — latch them when it
+	// spans shards; disabling them measures the purely optimistic path.
+	// No-ops on non-sharded engines either way.
 	NoHints bool
 }
 
@@ -301,7 +295,7 @@ func Run(scenario, engine string, cfg Config) (Result, error) {
 	if cfg.Snapshot && !b.Caps.Has(txengine.CapSnapshot) {
 		return Result{}, fmt.Errorf("workload: engine %q cannot serve snapshot reads (needs CapSnapshot): %w", engine, txengine.ErrUnsupported)
 	}
-	eng, err := b.New(txengine.Config{Latencies: cfg.Latencies, EpochLen: cfg.EpochLen, Shards: cfg.Shards, NoLatch: cfg.NoLatch})
+	eng, err := b.New(txengine.Config{Latencies: cfg.Latencies, EpochLen: cfg.EpochLen, Shards: cfg.Shards})
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -114,27 +115,23 @@ func TestKnobs(t *testing.T) {
 }
 
 // TestTransferConservation audits money conservation on the sharded engine
-// across the latch matrix: shard counts 2 and 8, latching on and off, with
+// across the hint matrix: shard counts 2 and 8, hints on (cross-shard
+// transfers latch their keys) and off (purely optimistic lazy join), with
 // Zipf-skewed draws so cross-shard transfers pile onto a few hot accounts.
-// Latched commits go through the linked-group path (key latches + shared
-// commit CAS) rather than whole-shard exclusion, so any atomicity hole
-// there shows up as an imbalance here.
+// Every cross-shard commit is one shared-fate group, so any atomicity hole
+// in the join or the group commit shows up as an imbalance here.
 func TestTransferConservation(t *testing.T) {
 	for _, shards := range []int{2, 8} {
-		for _, noLatch := range []bool{false, true} {
-			name := "shards=2"
-			if shards == 8 {
-				name = "shards=8"
-			}
-			if noLatch {
-				name += "/nolatch"
-			} else {
-				name += "/latch"
+		for _, noHints := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d/latch", shards)
+			if noHints {
+				// Unhinted transfers take no latches.
+				name = fmt.Sprintf("shards=%d/nolatch", shards)
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := smokeConfig()
 				cfg.Shards = shards
-				cfg.NoLatch = noLatch
+				cfg.NoHints = noHints
 				cfg.Accounts = 64 // small: most transfers cross shards
 				cfg.ZipfS = 1.4   // skewed: hot accounts collide constantly
 				res, err := Run("transfer", "medley-sharded", cfg)
@@ -147,8 +144,8 @@ func TestTransferConservation(t *testing.T) {
 				if res.AuxN("transfers") == 0 {
 					t.Errorf("no transfers completed: %s", res.AuxString())
 				}
-				if noLatch && res.Stats.LatchWaits != 0 {
-					t.Errorf("NoLatch run still waited on latches: %+v", res.Stats)
+				if noHints && (res.Stats.LatchWaits != 0 || res.Stats.FootprintHits != 0) {
+					t.Errorf("unhinted run latched or counted hits: %+v", res.Stats)
 				}
 			})
 		}

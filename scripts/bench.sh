@@ -9,13 +9,14 @@
 #   SERVECONNS=256 SERVEDUR=1s scripts/bench.sh  # smaller serving A/B
 #
 # The suite lives in internal/txengine/: the sharded-runtime hot paths
-# (key routing, single-shard commit fast path, cross-shard commit via
-# discovery vs hints vs the NoLatch control, latch table, footprint cache)
-# plus the PR 7 OCC-read vs snapshot-read pair (BenchmarkReadMostly*): the
-# same 95/5 mix with read probes as validated OCC read-only transactions vs
-# validation-free MVCC snapshot reads. The JSON also records a cache
-# workload A/B at -readpct 95 — OCC control vs -snapshot — with the stats
-# that certify snapshot reads never abort or restart.
+# (key routing, single-shard commit fast path, cross-shard group commit
+# unhinted vs hinted, disjoint-key hinted transfers under contention, latch
+# table) plus the PR 7 OCC-read vs snapshot-read pair
+# (BenchmarkReadMostly*): the same 95/5 mix with read probes as validated
+# OCC read-only transactions vs validation-free MVCC snapshot reads. The
+# JSON also records a cache workload A/B at -readpct 95 — OCC control vs
+# -snapshot — with the stats that certify snapshot reads never abort or
+# restart.
 #
 # PR 8 adds the end-to-end serving A/B: txserver on medley-sharded sh4,
 # txload at SERVECONNS connections (default 1024), three rows — pipeline 1
