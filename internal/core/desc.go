@@ -43,14 +43,21 @@ type readRec struct {
 	tag unsafe.Pointer
 }
 
-// Desc is an MCNS transaction descriptor. A fresh descriptor is allocated
-// for every transaction (the garbage collector supplies the ABA protection
-// that the paper's serial numbers provide); the readSet, writeSet and
-// validators slices are mutated only by the owning session and only while
-// the status is InPrep, which makes concurrent helper access race-free (see
-// package comment).
+// Desc is an MCNS transaction descriptor. Each Session recycles its solo
+// descriptors in place of the paper's per-thread descriptors with serial
+// numbers: a finished descriptor that no helper has pinned becomes the
+// session's spare and is reset for its next transaction (see the package
+// comment for why that is safe). The readSet, writeSet and validators
+// slices are mutated only by the owning session and only while the status
+// is InPrep, which makes concurrent helper access race-free.
 type Desc struct {
 	status atomic.Uint32
+	// pins counts helpers inside tryFinalize; a pinned descriptor is never
+	// recycled.
+	pins atomic.Int32
+	// serial counts the descriptor's incarnations (the paper's serial
+	// number). Written only by reset, which helpers cannot overlap.
+	serial uint64
 	// leader, when non-nil, makes this descriptor a follower in a
 	// shared-fate group: its status lives in the leader's word and
 	// finalization spans the whole group (see group.go). Set once, before
@@ -80,6 +87,29 @@ func newDesc(owner *Session) *Desc {
 	d.writeSet = d.wsBuf[:0]
 	d.validators = d.vBuf[:0]
 	return d
+}
+
+// reset readies a finished, swept, unpinned solo descriptor for its owner's
+// next transaction: status InPrep, empty sets back on their inline storage,
+// and no reference kept to the last transaction's objects or validators.
+func (d *Desc) reset() {
+	d.readSet = emptied(d.readSet, d.rsBuf[:])
+	d.writeSet = emptied(d.writeSet, d.wsBuf[:])
+	d.validators = emptied(d.validators, d.vBuf[:])
+	d.serial++
+	d.status.Store(uint32(InPrep))
+}
+
+// emptied clears the entries a set used and returns it emptied on its
+// inline storage. A set that spilled to the heap leaves that array to the
+// GC; its first entries are still in the inline buffer, cleared whole.
+func emptied[T any](set, inline []T) []T {
+	if cap(set) == len(inline) {
+		clear(set)
+	} else {
+		clear(inline)
+	}
+	return inline[:0]
 }
 
 // Status returns the descriptor's current status (the leader's, for a
@@ -126,10 +156,18 @@ func (d *Desc) validate() bool {
 // the object through which it was discovered. If the descriptor reached
 // InProg its write set is frozen, so the helper additionally sweeps the
 // whole write set to accelerate completion.
+//
+// The helper pins d before checking that found is still installed. Once
+// its owner has swept d no object holds a cell of d, so a helper that pins
+// after the owner read the pin count sees the check fail and never touches
+// a recycled incarnation (see the package comment).
 func (d *Desc) tryFinalize(o Obj, found unsafe.Pointer) {
+	d.pins.Add(1)
+	defer d.pins.Add(-1)
 	if o.curCell() != found {
 		return // descriptor no longer responsible for this object
 	}
+	serial := d.serial
 	// For a group member the status word, the validation scope, and the
 	// sweep scope are all group-wide: helping one member means finalizing
 	// the whole shared-fate group (see group.go).
@@ -161,6 +199,9 @@ func (d *Desc) tryFinalize(o Obj, found unsafe.Pointer) {
 	}
 	if d.owner != nil {
 		d.owner.stats().Helps.Add(1)
+	}
+	if d.serial != serial {
+		panic("medley: descriptor recycled under a pinned helper")
 	}
 }
 

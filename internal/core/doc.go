@@ -21,10 +21,29 @@
 // CAS, but it has a garbage collector, which eliminates the ABA hazard the
 // counter exists to prevent. We therefore represent the
 // (value, counter, descriptor) triple as an immutable heap cell reached
-// through a single atomic.Pointer. Cell identity subsumes {value, counter}
-// equality, so read-set validation is one pointer comparison. The paper's
-// counter is retained in each cell (with the same parity convention) purely
-// for introspection and test assertions.
+// through a single atomic.Pointer. Cells are never reused, so cell identity
+// subsumes {value, counter} equality and read-set validation is one pointer
+// comparison. The paper's counter is retained in each cell (with the same
+// parity convention) purely for introspection and test assertions.
+//
+// # Descriptor recycling
+//
+// Like the paper's per-thread descriptors with serial numbers, each Session
+// reuses its descriptor across transactions instead of allocating one per
+// transaction. A helper reaches a foreign descriptor's fields only through
+// tryFinalize (elsewhere descriptors are only compared), which pins it (an atomic count) before checking that the
+// cell it tripped over is still installed, and unpins on return. When the
+// owner finishes a transaction it sweeps the write set, after which no
+// object holds a cell of the descriptor, and only then reads the pin
+// count. It keeps the descriptor for its next transaction only if the
+// count is 0 and the descriptor is solo; otherwise it leaves it to the GC.
+// Go's atomics are sequentially consistent, so this is Dekker's pattern:
+// either the owner sees the pin and lets the descriptor go, or the helper's
+// check runs after the sweep and fails, because the cell it holds is gone
+// and cells are unique pointers. A helper therefore never reads or
+// finalizes a later incarnation. Group members are never recycled: a
+// helper of one member walks the whole group while pinning only that
+// member.
 //
 // # Concurrency protocol
 //

@@ -94,6 +94,10 @@ func TestDescStatusTransitionsAreMonotone(t *testing.T) {
 	if d.Status() != InPrep {
 		t.Fatalf("fresh desc status = %v", d.Status())
 	}
+	// Hold d past TxEnd the way a helper does: pinned, so the session
+	// cannot recycle it.
+	d.pins.Add(1)
+	defer d.pins.Add(-1)
 	if err := s.TxEnd(); err != nil {
 		t.Fatal(err)
 	}

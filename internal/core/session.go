@@ -14,10 +14,11 @@ import (
 // tell whether execution is currently inside a transaction (in which case
 // NBTC instrumentation applies) or outside (in which case it is elided).
 type Session struct {
-	mgr  *TxManager
-	id   int
-	next *Session // manager's push-only session list (see TxManager.Session)
-	desc *Desc    // non-nil while inside a transaction
+	mgr   *TxManager
+	id    int
+	next  *Session // manager's push-only session list (see TxManager.Session)
+	desc  *Desc    // non-nil while inside a transaction
+	spare *Desc    // a finished solo descriptor, reset for the next TxBegin
 
 	// inSpec tracks whether execution is inside the current operation's
 	// speculation interval (Def. 3): set on a publication point or on
@@ -59,7 +60,9 @@ func (s *Session) OpStart() { s.inSpec = false }
 // and to run cleanup immediately when called outside a transaction.
 func (s *Session) InTx() bool { return s.desc != nil }
 
-// Desc returns the current transaction's descriptor, or nil.
+// Desc returns the current transaction's descriptor, or nil. The pointer
+// is valid only until the transaction finishes: the session may recycle
+// the descriptor for a later transaction.
 func (s *Session) Desc() *Desc { return s.desc }
 
 func (s *Session) stats() *Stats { return &s.st }
@@ -71,7 +74,12 @@ func (s *Session) TxBegin() {
 	if s.desc != nil {
 		panic("medley: TxBegin inside an open transaction")
 	}
-	d := newDesc(s)
+	d := s.spare
+	if d != nil {
+		s.spare = nil
+	} else {
+		d = newDesc(s)
+	}
 	s.desc = d
 	s.inSpec = false
 	s.cleanups = s.cleanups[:0]
@@ -127,12 +135,21 @@ func (s *Session) TxAbort() error {
 }
 
 // finish completes a transaction whose status has been finalized (possibly
-// by a helper): sweeps the write set, runs cleanups or undos, updates stats,
-// and closes the session's transaction scope.
+// by a helper): sweeps the write set, recycles the descriptor if it may be,
+// runs cleanups or undos, updates stats, and closes the session's
+// transaction scope.
 func (s *Session) finish(d *Desc) error {
 	st := Status(d.statusWord().Load())
 	committed := st == Committed
 	d.sweep(committed)
+	// After the sweep no object holds a cell of d. A helper that pinned d
+	// before this load keeps it from reuse; one that pins after will find
+	// its cell gone. Group members stay out: helpers of one member walk
+	// the whole group while pinning only that member.
+	if !d.grouped() && d.pins.Load() == 0 {
+		d.reset()
+		s.spare = d
+	}
 	s.desc = nil
 	s.inSpec = false
 	if committed {
@@ -214,11 +231,10 @@ func (s *Session) OnAbort(f func()) {
 // layer to retire NVM payloads) can observe retirement.
 func (s *Session) TRetire(x any) {
 	hook := s.mgr.retireHook
-	s.AddToCleanups(func() {
-		if hook != nil {
-			hook(x)
-		}
-	})
+	if hook == nil {
+		return
+	}
+	s.AddToCleanups(func() { hook(x) })
 }
 
 // Run executes fn as a transaction, retrying (with randomized exponential

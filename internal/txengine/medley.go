@@ -225,22 +225,25 @@ type sessionTx struct {
 	bo   backoff
 }
 
-func (t *sessionTx) Run(fn func() error) error {
-	if !t.snap.enabled() {
-		return t.ct.countRun(t.s.Run, fn)
-	}
-	return t.ct.countRun(t.runStamped, fn)
-}
+func (t *sessionTx) Run(fn func() error) error { return t.run(fn, nil) }
 
-// runStamped is core.Session.Run with version stamping folded into the
-// commit: the loop shape (and therefore the stats contract countRun builds
-// on it) is identical, but a successful commit publishes the attempt's
-// buffered writes at one drawn timestamp.
-func (t *sessionTx) runStamped(fn func() error) error {
+func (t *sessionTx) RunRead(fn func()) { _ = t.run(nil, fn) }
+
+// run is core.Session.Run with version stamping folded into the commit
+// (when the snapshot tier is on, a successful commit publishes the
+// attempt's buffered writes at one drawn timestamp) and the adapter's stats
+// counted from its own executions. It runs exactly one of fn and read, so
+// neither Run nor RunRead needs a wrapper closure.
+func (t *sessionTx) run(fn func() error, read func()) error {
 	for attempt := 0; ; attempt++ {
 		t.snap.reset()
 		t.s.TxBegin()
-		err := fn()
+		var err error
+		if read != nil {
+			read()
+		} else {
+			err = fn()
+		}
 		if err == nil {
 			if !t.s.InTx() {
 				// fn aborted explicitly but returned nil; treat as conflict.
@@ -248,6 +251,7 @@ func (t *sessionTx) runStamped(fn func() error) error {
 			} else {
 				err = t.commitStamped()
 				if err == nil {
+					t.ct.countExecs(attempt+1, nil)
 					return nil
 				}
 			}
@@ -255,6 +259,7 @@ func (t *sessionTx) runStamped(fn func() error) error {
 			t.s.TxAbort()
 		}
 		if !errors.Is(err, core.ErrTxAborted) {
+			t.ct.countExecs(attempt+1, err)
 			return err
 		}
 		t.bo.wait(attempt)
@@ -265,7 +270,8 @@ func (t *sessionTx) runStamped(fn func() error) error {
 // before TxEnd's InPrep→InProg transition, which is what keeps timestamp
 // order consistent with conflict order (see snapshot.go) — commits, and on
 // success publishes the buffered writes under that timestamp. Read-only
-// transactions buffer nothing and skip the draw entirely.
+// transactions, and every transaction when the snapshot tier is off,
+// buffer nothing and skip the draw entirely.
 func (t *sessionTx) commitStamped() error {
 	if len(t.snap.pending) == 0 {
 		return t.s.TxEnd()
@@ -329,10 +335,6 @@ func (t *sessionTx) SnapshotReadBatch(n int, each func(int, uint64)) (uint64, bo
 // are buffered whenever a transaction is open on the session.
 func (t *sessionTx) snapAgent() *snapAgent { return &t.snap }
 func (t *sessionTx) snapBuffering() bool   { return t.s.InTx() }
-
-func (t *sessionTx) RunRead(fn func()) {
-	_ = t.Run(func() error { fn(); return nil })
-}
 
 func (t *sessionTx) NoTx(fn func()) { fn() }
 

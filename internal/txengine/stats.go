@@ -133,16 +133,23 @@ func (c *counters) countSnapshotN(stale bool, n uint64) {
 func (c *counters) countRun(run func(func() error) error, fn func() error) error {
 	execs := 0
 	err := run(func() error { execs++; return fn() })
-	if execs > 1 {
-		c.retries.Add(uint64(execs - 1))
-	}
+	c.countExecs(execs, err)
+	return err
+}
+
+// countExecs accounts a Run that executed its body execs times and ended
+// with err: one commit or terminal abort plus one abort+retry per extra
+// execution. Retry loops that count their own executions call it directly.
+func (c *counters) countExecs(execs int, err error) {
 	if err == nil {
 		c.commits.Add(1)
-		c.aborts.Add(uint64(execs - 1))
 	} else {
-		c.aborts.Add(uint64(execs))
+		c.aborts.Add(1)
 	}
-	return err
+	if execs > 1 {
+		c.retries.Add(uint64(execs - 1))
+		c.aborts.Add(uint64(execs - 1))
+	}
 }
 
 // countRead is countRun for read-only paths that retry by re-executing fn

@@ -147,3 +147,38 @@ func TestStatsUnderConflict(t *testing.T) {
 		}
 	})
 }
+
+// TestMedleyReadOnlyRunAllocatesNothing guards the allocation-free Medley
+// commit path end to end: with the session's descriptor recycled and no
+// adapter closures, a read-only Run or RunRead of map Gets allocates
+// nothing.
+func TestMedleyReadOnlyRunAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	eng, err := Build("medley", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	m, err := eng.NewUintMap(MapSpec{Kind: KindHash, Buckets: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := eng.NewWorker(0)
+	for k := uint64(0); k < 8; k++ {
+		m.Put(tx, k, k)
+	}
+	gets := func() {
+		for k := uint64(0); k < 8; k += 3 {
+			m.Get(tx, k)
+		}
+	}
+	run := func() error { gets(); return nil }
+	if n := testing.AllocsPerRun(100, func() { _ = tx.Run(run) }); n != 0 {
+		t.Errorf("read-only Run allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tx.RunRead(gets) }); n != 0 {
+		t.Errorf("RunRead allocates %.1f times, want 0", n)
+	}
+}
