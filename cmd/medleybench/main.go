@@ -48,7 +48,7 @@ func main() {
 	list := flag.Bool("list", false, "list registered engines and exit")
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default: host sweep)")
 	dur := flag.Duration("dur", 2*time.Second, "measurement duration per point")
-	warmup := flag.Duration("warmup", 0, "workloads: ramp-up before measurement; warm-up samples are discarded from txn/s and the latency percentiles")
+	warmup := flag.Duration("warmup", 0, "ramp-up before measurement; warm-up samples are discarded from txn/s, ns/txn and the latency percentiles")
 	scale := flag.Float64("scale", 0.1, "keyspace scale (1.0 = paper's 1M keys)")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "txMontage epoch length")
 	shards := flag.Int("shards", 0, "shard count for sharded engines (0: engine default); sweep by invoking once per count")
@@ -75,7 +75,7 @@ func main() {
 
 	ratios := parseRatios(*ratio)
 	threads := parseThreads(*threadsFlag)
-	opt := bench.Options{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
+	engCfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
 	fmt.Printf("# host: GOMAXPROCS=%d; scale=%.2f; dur=%v\n", runtime.GOMAXPROCS(0), *scale, *dur)
 
 	if *wlFlag != "" {
@@ -97,9 +97,8 @@ func main() {
 			rp = *readPct
 		}
 		cfg := workload.Config{
-			Dur: *dur, Warmup: *warmup, Scale: *scale,
-			Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen,
-			Shards: *shards, ZipfS: *zipfS, ReadPct: rp,
+			Dur: *dur, Warmup: *warmup, Scale: *scale, Engine: engCfg,
+			ZipfS: *zipfS, ReadPct: rp,
 			Accounts: *accounts, Latency: *lat, NoHints: *noHints,
 			Snapshot: *snapshot,
 		}
@@ -145,8 +144,8 @@ func main() {
 			fmt.Printf("%-16s %8s %14s %12s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "fphit", "latchw")
 			for _, name := range systems {
 				for _, th := range threads {
-					sys := mustSystem(name, kind, wl, opt)
-					res := bench.RunThroughput(sys, wl, th, *dur)
+					sys := mustSystem(name, kind, wl, engCfg)
+					res := bench.RunThroughput(sys, wl, th, *dur, *warmup)
 					sys.Close()
 					fmt.Printf("%-16s %8d %14.0f %12d %10d %10d %10d %10d\n",
 						res.System, res.Threads, res.Throughput,
@@ -162,7 +161,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-systems does not apply to -figure 10; its series is fixed (Original, Medley, txMontage)")
 			os.Exit(2)
 		}
-		runLatency(*figure, ratios, *scale, *dur, opt)
+		runLatency(*figure, ratios, *scale, *dur, *warmup, engCfg)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown -figure; want 7, 8, or 10")
 		os.Exit(2)
@@ -341,8 +340,8 @@ func runWorkloads(wlFlag, systemsFlag string, threads []int, cfg workload.Config
 	}
 }
 
-func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, opt bench.Options) bench.System {
-	sys, err := bench.NewSystem(name, kind, wl, opt)
+func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, cfg txengine.Config) *bench.System {
+	sys, err := bench.NewSystem(name, kind, wl, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -350,7 +349,7 @@ func mustSystem(name string, kind txengine.MapKind, wl bench.Workload, opt bench
 	return sys
 }
 
-func runLatency(fig string, ratios [][3]int, scale float64, dur time.Duration, opt bench.Options) {
+func runLatency(fig string, ratios [][3]int, scale float64, dur, warmup time.Duration, cfg txengine.Config) {
 	// The paper measures at 40 threads (half the hyperthreads); use half of
 	// GOMAXPROCS here.
 	th := runtime.GOMAXPROCS(0) / 2
@@ -359,40 +358,31 @@ func runLatency(fig string, ratios [][3]int, scale float64, dur time.Duration, o
 	}
 	fmt.Printf("\n## Figure 10 (skiplist latency at %d threads, ns/txn)\n", th)
 	fmt.Printf("%-10s %-10s %-10s %12s\n", "panel", "mode", "ratio", "ns/txn")
+	point := func(panel, engine string, mode bench.LatencyMode, wl bench.Workload, c txengine.Config) {
+		sys := mustSystem(engine, txengine.KindSkip, wl, c)
+		res := bench.RunLatency(sys, wl, mode, th, dur, warmup)
+		sys.Close()
+		fmt.Printf("%-10s %-10s %-10s %12.0f\n", panel, mode, wl.Ratio(), bench.NsPerTx(res))
+	}
 	for _, r := range ratios {
 		wl := bench.PaperWorkload(r[0], r[1], r[2], scale)
 		if fig == "10" || fig == "10a" {
 			// (a) DRAM: Original vs TxOff vs TxOn on the transient Medley list.
-			o := mustSystem("original", txengine.KindSkip, wl, bench.Options{})
-			res := bench.RunLatency(o, wl, bench.ModeOriginal, th, dur)
-			fmt.Printf("%-10s %-10s %-10s %12.0f\n", "10a", "Original", wl.Ratio(), res.NsPerTx)
-			o.Close()
-			for _, mode := range []bench.LatencyMode{bench.ModeTxOff, bench.ModeTxOn} {
-				sys := mustSystem("medley", txengine.KindSkip, wl, bench.Options{})
-				res := bench.RunLatency(sys, wl, mode, th, dur)
-				fmt.Printf("%-10s %-10s %-10s %12.0f\n", "10a", mode, wl.Ratio(), res.NsPerTx)
-				sys.Close()
-			}
+			point("10a", "original", bench.ModeOriginal, wl, txengine.Config{})
+			point("10a", "medley", bench.ModeTxOff, wl, txengine.Config{})
+			point("10a", "medley", bench.ModeTxOn, wl, txengine.Config{})
 		}
 		if fig == "10" || fig == "10b" {
 			// (b) payloads on NVM, persistence off: montage maps with free
 			// write-back (epoch system idle) but NVM store latency charged.
-			noPersist := bench.Options{Latencies: pnvm.Latencies{Write: opt.Latencies.Write}, EpochLen: time.Hour}
-			for _, mode := range []bench.LatencyMode{bench.ModeTxOff, bench.ModeTxOn} {
-				sys := mustSystem("txmontage", txengine.KindSkip, wl, noPersist)
-				res := bench.RunLatency(sys, wl, mode, th, dur)
-				fmt.Printf("%-10s %-10s %-10s %12.0f\n", "10b", mode, wl.Ratio(), res.NsPerTx)
-				sys.Close()
-			}
+			noPersist := txengine.Config{Latencies: pnvm.Latencies{Write: cfg.Latencies.Write}, EpochLen: time.Hour}
+			point("10b", "txmontage", bench.ModeTxOff, wl, noPersist)
+			point("10b", "txmontage", bench.ModeTxOn, wl, noPersist)
 		}
 		if fig == "10" || fig == "10c" {
 			// (c) full persistence on.
-			for _, mode := range []bench.LatencyMode{bench.ModeTxOff, bench.ModeTxOn} {
-				sys := mustSystem("txmontage", txengine.KindSkip, wl, opt)
-				res := bench.RunLatency(sys, wl, mode, th, dur)
-				fmt.Printf("%-10s %-10s %-10s %12.0f\n", "10c", mode, wl.Ratio(), res.NsPerTx)
-				sys.Close()
-			}
+			point("10c", "txmontage", bench.ModeTxOff, wl, cfg)
+			point("10c", "txmontage", bench.ModeTxOn, wl, cfg)
 		}
 	}
 }

@@ -87,14 +87,14 @@ func main() {
 	}
 
 	cfg := tpcc.DefaultConfig(*warehouses)
-	opt := tpcc.StoreOptions{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
+	engCfg := txengine.Config{Latencies: pnvm.DefaultLatencies(), EpochLen: *epochLen, Shards: *shards}
 	fmt.Printf("# host: GOMAXPROCS=%d; warehouses=%d; dur=%v\n", runtime.GOMAXPROCS(0), *warehouses, *dur)
 	fmt.Printf("\n## Figure 9 (TPC-C newOrder:payment 1:1)\n")
 	fmt.Printf("%-12s %8s %14s %12s %10s %10s %10s %10s %10s %10s\n", "system", "threads", "txn/s", "commits", "aborts", "retries", "fphit", "latchw", "snapread", "snapstale")
 
 	for _, name := range systems {
 		for _, th := range threads {
-			st, err := tpcc.NewStore(name, opt)
+			st, err := tpcc.NewStore(name, engCfg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)

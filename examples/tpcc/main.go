@@ -9,11 +9,12 @@ import (
 	"time"
 
 	"medley/internal/tpcc"
+	"medley/internal/txengine"
 )
 
 func main() {
 	cfg := tpcc.DefaultConfig(2)
-	st, err := tpcc.NewStore("medley", tpcc.StoreOptions{})
+	st, err := tpcc.NewStore("medley", txengine.Config{})
 	if err != nil {
 		panic(err)
 	}

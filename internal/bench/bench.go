@@ -14,11 +14,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"medley/internal/txengine"
+	"medley/internal/workload"
 )
 
 // OpKind selects a map operation.
@@ -91,85 +89,11 @@ func (w Workload) GenTx(rng *rand.Rand, buf []Op) []Op {
 	return buf
 }
 
-// System is one benchmarked implementation.
-type System interface {
-	Name() string
-	// Preload inserts the initial pairs (single-threaded, unmeasured).
-	Preload(wl Workload)
-	// NewWorker returns a per-thread handle.
-	NewWorker(tid int) Worker
-	// Stats snapshots the underlying engine's cumulative transaction
-	// outcomes (commits/aborts/retries/fallbacks).
-	Stats() txengine.Stats
-	// Close releases background resources (epoch advancers etc.).
-	Close()
-}
-
-// Worker executes transactions for one thread.
-type Worker interface {
-	// RunTx executes ops as one transaction, retrying internally until it
-	// commits.
-	RunTx(ops []Op)
-	// RunOpsNoTx executes ops back to back without a surrounding
-	// transaction (the TxOff and Original modes of Figure 10). Workers of
-	// systems without a standalone mode may panic.
-	RunOpsNoTx(ops []Op)
-}
-
-// Result is one measured throughput point.
-type Result struct {
-	System     string
-	Ratio      string
-	Threads    int
-	Txns       uint64
-	Duration   time.Duration
-	Throughput float64        // transactions per second
-	Stats      txengine.Stats // engine stats delta over the measured run
-}
-
-// RunThroughput drives threads workers for dur and reports aggregate
-// transaction throughput plus the engine's stats delta (preload excluded).
-func RunThroughput(sys System, wl Workload, threads int, dur time.Duration) Result {
-	sys.Preload(wl)
-	base := sys.Stats()
-	var stop atomic.Bool
-	var total atomic.Uint64
-	var wg sync.WaitGroup
-	var ready, start sync.WaitGroup
-	ready.Add(threads)
-	start.Add(1)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			w := sys.NewWorker(tid)
-			rng := rand.New(rand.NewPCG(uint64(tid)+1, 0x9e3779b97f4a7c15))
-			buf := make([]Op, 0, wl.MaxOps)
-			ready.Done()
-			start.Wait()
-			n := uint64(0)
-			for !stop.Load() {
-				ops := wl.GenTx(rng, buf)
-				w.RunTx(ops)
-				n++
-			}
-			total.Add(n)
-		}(t)
-	}
-	ready.Wait()
-	t0 := time.Now()
-	start.Done()
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	el := time.Since(t0)
-	txns := total.Load()
-	return Result{
-		System: sys.Name(), Ratio: wl.Ratio(), Threads: threads,
-		Txns: txns, Duration: el,
-		Throughput: float64(txns) / el.Seconds(),
-		Stats:      sys.Stats().Delta(base),
-	}
+// RunThroughput preloads sys, drives threads workers for dur after a
+// warm-up of warmup, and reports aggregate transaction throughput plus the
+// engine's stats delta over the measured window.
+func RunThroughput(sys *System, wl Workload, threads int, dur, warmup time.Duration) workload.Result {
+	return drive(sys, wl, threads, dur, warmup, 0x9e3779b97f4a7c15, (*Worker).RunTx)
 }
 
 // LatencyMode selects the Figure 10 variant.
@@ -196,57 +120,40 @@ func (m LatencyMode) String() string {
 	return "?"
 }
 
-// LatencyResult is one measured latency point.
-type LatencyResult struct {
-	System  string
-	Mode    LatencyMode
-	Ratio   string
-	Threads int
-	NsPerTx float64
-	Stats   txengine.Stats // engine stats delta over the measured run
+// RunLatency preloads sys and drives threads workers for dur after a
+// warm-up of warmup, each running generated op groups as transactions
+// (ModeTxOn) or back to back without one (ModeOriginal, ModeTxOff), as
+// Figure 10 does. NsPerTx turns the result into the figure's metric.
+func RunLatency(sys *System, wl Workload, mode LatencyMode, threads int, dur, warmup time.Duration) workload.Result {
+	run := (*Worker).RunOpsNoTx
+	if mode == ModeTxOn {
+		run = (*Worker).RunTx
+	}
+	return drive(sys, wl, threads, dur, warmup, 77, run)
 }
 
-// RunLatency measures average wall-clock ns per transaction (or per op
-// group, for the non-transactional modes) at the given thread count,
-// mirroring Figure 10's methodology.
-func RunLatency(sys System, wl Workload, mode LatencyMode, threads int, dur time.Duration) LatencyResult {
+// NsPerTx is Figure 10's metric: average wall-clock ns per transaction (or
+// per op group, for the non-transactional modes) seen by one thread.
+func NsPerTx(res workload.Result) float64 {
+	return float64(res.Duration.Nanoseconds()) * float64(res.Threads) / float64(res.Txns)
+}
+
+// drive preloads sys and measures it through workload.Drive: each worker
+// applies generated transactions with run, drawing them from an rng seeded
+// by its thread id and seed.
+func drive(sys *System, wl Workload, threads int, dur, warmup time.Duration, seed uint64, run func(*Worker, []Op)) workload.Result {
 	sys.Preload(wl)
-	base := sys.Stats()
-	var stop atomic.Bool
-	var totalTx atomic.Uint64
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			w := sys.NewWorker(tid)
-			rng := rand.New(rand.NewPCG(uint64(tid)+1, 77))
-			buf := make([]Op, 0, wl.MaxOps)
-			n := uint64(0)
-			for !stop.Load() {
-				ops := wl.GenTx(rng, buf)
-				if mode == ModeTxOn {
-					w.RunTx(ops)
-				} else {
-					w.RunOpsNoTx(ops)
-				}
-				n++
-			}
-			totalTx.Add(n)
-		}(t)
-	}
-	time.Sleep(dur)
-	stop.Store(true)
-	wg.Wait()
-	el := time.Since(t0)
-	tx := totalTx.Load()
-	ns := float64(el.Nanoseconds()) * float64(threads) / float64(tx)
-	return LatencyResult{
-		System: sys.Name(), Mode: mode, Ratio: wl.Ratio(), Threads: threads,
-		NsPerTx: ns,
-		Stats:   sys.Stats().Delta(base),
-	}
+	res := workload.Drive(sys.eng.Stats, threads, dur, warmup, false, func(tid int) func() uint64 {
+		w := sys.NewWorker(tid)
+		rng := rand.New(rand.NewPCG(uint64(tid)+1, seed))
+		buf := make([]Op, 0, wl.MaxOps)
+		return func() uint64 {
+			run(w, wl.GenTx(rng, buf))
+			return 1
+		}
+	})
+	res.System = sys.Name()
+	return res
 }
 
 // DefaultThreadSweep returns the thread counts used for throughput figures,

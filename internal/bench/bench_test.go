@@ -70,18 +70,18 @@ func TestDefaultThreadSweepMonotoneAndBounded(t *testing.T) {
 // nonzero results and structures must survive.
 func TestAllSystemsSmoke(t *testing.T) {
 	wl := PaperWorkload(2, 1, 1, 0.001)
-	opt := Options{EpochLen: 5 * time.Millisecond}
+	cfg := txengine.Config{EpochLen: 5 * time.Millisecond}
 	for _, kind := range []txengine.MapKind{txengine.KindHash, txengine.KindSkip} {
 		names := TxSystemsFor(kind)
 		if len(names) == 0 {
 			t.Fatalf("no engines for %v maps", kind)
 		}
 		for _, name := range names {
-			sys, err := NewSystem(name, kind, wl, opt)
+			sys, err := NewSystem(name, kind, wl, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, kind, err)
 			}
-			res := RunThroughput(sys, wl, 4, 50*time.Millisecond)
+			res := RunThroughput(sys, wl, 4, 50*time.Millisecond, 0)
 			sys.Close()
 			if res.Txns == 0 {
 				t.Errorf("%s: no transactions completed", res.System)
@@ -114,13 +114,13 @@ func TestLatencyModes(t *testing.T) {
 		if mode == ModeOriginal {
 			name = "original"
 		}
-		sys, err := NewSystem(name, txengine.KindSkip, wl, Options{})
+		sys, err := NewSystem(name, txengine.KindSkip, wl, txengine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunLatency(sys, wl, mode, 2, 50*time.Millisecond)
+		res := RunLatency(sys, wl, mode, 2, 50*time.Millisecond, 0)
 		sys.Close()
-		if res.NsPerTx <= 0 {
+		if NsPerTx(res) <= 0 {
 			t.Errorf("mode %v: nonpositive latency", mode)
 		}
 	}
@@ -131,12 +131,12 @@ func TestLatencyModes(t *testing.T) {
 // excluded via the delta).
 func TestThroughputSurfacesStats(t *testing.T) {
 	wl := PaperWorkload(2, 1, 1, 0.001)
-	sys, err := NewSystem("medley", txengine.KindHash, wl, Options{})
+	sys, err := NewSystem("medley", txengine.KindHash, wl, txengine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	res := RunThroughput(sys, wl, 2, 50*time.Millisecond)
+	res := RunThroughput(sys, wl, 2, 50*time.Millisecond, 0)
 	if res.Stats.Commits == 0 {
 		t.Fatalf("Result.Stats empty: %+v", res.Stats)
 	}

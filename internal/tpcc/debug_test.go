@@ -7,12 +7,13 @@ import (
 
 	"medley/internal/core"
 	"medley/internal/structures/fskiplist"
+	"medley/internal/txengine"
 )
 
 // Minimal reproducer scaffolding for the newOrder spin.
 func TestDebugSingleNewOrder(t *testing.T) {
 	cfg := smallCfg()
-	st, err := NewStore("medley", StoreOptions{})
+	st, err := NewStore("medley", txengine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

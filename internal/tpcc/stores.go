@@ -3,24 +3,10 @@ package tpcc
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"medley/internal/montage"
-	"medley/internal/pnvm"
 	"medley/internal/txengine"
 )
-
-// StoreOptions configures engine construction for TPC-C stores. The zero
-// value is a transient engine with free NVM timing.
-type StoreOptions struct {
-	// Latencies drives the simulated NVM device of persistent engines.
-	Latencies pnvm.Latencies
-	// EpochLen is txMontage's persistence epoch length (0: advancer off).
-	EpochLen time.Duration
-	// Shards is the partition count for sharded engines (0: engine
-	// default); non-sharded engines ignore it.
-	Shards int
-}
 
 // Engines returns the registry keys of every engine that can run TPC-C
 // (dynamic transactions over row maps), in registration order.
@@ -63,21 +49,18 @@ func CanRun(engine string) error {
 	return nil
 }
 
-// NewStore builds the named engine from the txengine registry and lays the
-// TPC-C tables over its transactional row maps (see CanRun for which
-// engines qualify). Tables prefer the skiplist shape (the paper's
-// representation); engines without one (Boost) fall back to hash tables.
-func NewStore(engine string, opt StoreOptions) (Store, error) {
+// NewStore builds the named engine from the txengine registry with cfg and
+// lays the TPC-C tables over its transactional row maps (see CanRun for
+// which engines qualify). It sets cfg.RowCodec itself. Tables prefer the
+// skiplist shape (the paper's representation); engines without one (Boost)
+// fall back to hash tables.
+func NewStore(engine string, cfg txengine.Config) (*Store, error) {
 	if err := CanRun(engine); err != nil {
 		return nil, err
 	}
 	b, _ := txengine.Lookup(engine)
-	eng, err := b.New(txengine.Config{
-		Latencies: opt.Latencies,
-		EpochLen:  opt.EpochLen,
-		RowCodec:  rowCodec(),
-		Shards:    opt.Shards,
-	})
+	cfg.RowCodec = rowCodec()
+	eng, err := b.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +68,7 @@ func NewStore(engine string, opt StoreOptions) (Store, error) {
 	if !b.Caps.Has(txengine.CapSkipMap) {
 		spec = txengine.MapSpec{Kind: txengine.KindHash, Buckets: 1 << 14}
 	}
-	st := &engineStore{eng: eng}
+	st := &Store{eng: eng}
 	for i := range st.tables {
 		st.tables[i], err = eng.NewRowMap(spec)
 		if err != nil {
@@ -96,63 +79,72 @@ func NewStore(engine string, opt StoreOptions) (Store, error) {
 	return st, nil
 }
 
-// engineStore is the one TPC-C store adapter: any row-capable engine,
-// with one transactional row map per table.
-type engineStore struct {
+// Store is one system under test: any row-capable engine, with one
+// transactional row map per table.
+type Store struct {
 	eng    txengine.Engine
 	tables [NumTables]txengine.Map[any]
 }
 
-// Name implements Store.
-func (st *engineStore) Name() string { return st.eng.Name() }
+// Name is the engine's display name.
+func (st *Store) Name() string { return st.eng.Name() }
 
-// Stats implements Store.
-func (st *engineStore) Stats() txengine.Stats { return st.eng.Stats() }
+// Close releases the engine's background resources.
+func (st *Store) Close() { st.eng.Close() }
 
-// Close implements Store.
-func (st *engineStore) Close() { st.eng.Close() }
-
-// NewWorker implements Store.
-func (st *engineStore) NewWorker(tid int) Worker {
-	return &engineWorker{st: st, tx: st.eng.NewWorker(tid)}
+// NewWorker returns a per-thread handle.
+func (st *Store) NewWorker(tid int) *Worker {
+	return &Worker{st: st, tx: st.eng.NewWorker(tid)}
 }
 
-type engineWorker struct {
-	st *engineStore
+// Worker executes TPC-C transactions for one thread.
+type Worker struct {
+	st *Store
 	tx txengine.Tx
 }
 
 // RunTx executes fn transactionally; a business abort (Handle.Abort) rolls
 // the transaction back and counts as completed work.
-func (w *engineWorker) RunTx(fn func(h Handle) error) error {
-	err := w.tx.Run(func() error { return fn(engineHandle{w}) })
+func (w *Worker) RunTx(fn func(h Handle) error) error {
+	err := w.tx.Run(func() error { return fn(Handle{w}) })
 	if errors.Is(err, txengine.ErrBusinessAbort) {
 		return nil // deliberate rollback: counted as completed work
 	}
 	return err
 }
 
-// RunTxHinted is RunTx with the key footprint declared before the
-// transaction starts; txengine.HintKeys no-ops on engines without hints.
-func (w *engineWorker) RunTxHinted(keys []uint64, fn func(h Handle) error) error {
+// RunTxHinted is RunTx with the transaction's key footprint declared up
+// front (payment knows all four of its row keys before it starts).
+// txengine.HintKeys no-ops on engines without hints, so drivers can call it
+// unconditionally.
+func (w *Worker) RunTxHinted(keys []uint64, fn func(h Handle) error) error {
 	txengine.HintKeys(w.tx, keys...)
 	return w.RunTx(fn)
 }
 
-type engineHandle struct {
-	w *engineWorker
+// Handle is the per-transaction view of the store.
+type Handle struct {
+	w *Worker
 }
 
-func (h engineHandle) Get(t Table, k uint64) (any, bool) {
+// Get reads row k of table t.
+func (h Handle) Get(t Table, k uint64) (any, bool) {
 	return h.w.st.tables[t].Get(h.w.tx, k)
 }
-func (h engineHandle) Put(t Table, k uint64, v any) {
+
+// Put writes row k of table t.
+func (h Handle) Put(t Table, k uint64, v any) {
 	h.w.st.tables[t].Put(h.w.tx, k, v)
 }
-func (h engineHandle) Insert(t Table, k uint64, v any) bool {
+
+// Insert adds row k to table t unless it exists.
+func (h Handle) Insert(t Table, k uint64, v any) bool {
 	return h.w.st.tables[t].Insert(h.w.tx, k, v)
 }
-func (h engineHandle) Abort() error { return h.w.tx.Abort() }
+
+// Abort dooms the transaction for business reasons (e.g. 1% of newOrders
+// roll back in standard TPC-C); RunTx treats it as a no-retry abort.
+func (h Handle) Abort() error { return h.w.tx.Abort() }
 
 // ------------------------------------------------------------- row codec --
 

@@ -14,8 +14,6 @@ package tpcc
 import (
 	"errors"
 	"math/rand/v2"
-
-	"medley/internal/txengine"
 )
 
 // Table identifies one TPC-C table.
@@ -133,40 +131,9 @@ func OLKey(w, d int, oid uint64, line int) uint64 {
 // HKey returns a unique history key from a per-worker sequence.
 func HKey(tid int, seq uint64) uint64 { return (uint64(tid) << 40) | seq }
 
-// Handle is the per-transaction view of the store.
-type Handle interface {
-	Get(t Table, k uint64) (any, bool)
-	Put(t Table, k uint64, v any)
-	Insert(t Table, k uint64, v any) bool
-	// Abort marks the transaction doomed for business reasons (e.g. 1% of
-	// newOrders roll back in standard TPC-C); implementations return an
-	// error that their RunTx treats as a no-retry abort.
-	Abort() error
-}
-
-// Worker executes TPC-C transactions for one thread.
-type Worker interface {
-	RunTx(fn func(h Handle) error) error
-	// RunTxHinted is RunTx with the transaction's key footprint declared
-	// up front (payment knows all four of its row keys before it starts).
-	// Engines without footprint hints ignore the keys, so drivers can call
-	// it unconditionally.
-	RunTxHinted(keys []uint64, fn func(h Handle) error) error
-}
-
-// Store is one system under test.
-type Store interface {
-	Name() string
-	NewWorker(tid int) Worker
-	// Stats snapshots the underlying engine's cumulative transaction
-	// outcomes (commits/aborts/retries/fallbacks).
-	Stats() txengine.Stats
-	Close()
-}
-
 // Load populates a store with the initial TPC-C data (single worker,
 // unmeasured).
-func Load(st Store, cfg Config) {
+func Load(st *Store, cfg Config) {
 	w0 := st.NewWorker(0)
 	// Batch rows into modest transactions to keep descriptors small.
 	batch := func(rows []func(h Handle)) {

@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"time"
+
+	"medley/internal/txengine"
 )
 
 func smallCfg() Config {
@@ -15,15 +17,15 @@ func smallCfg() Config {
 
 // stores builds one Store per registry engine that can run TPC-C (LFTT is
 // static-only and excluded by Engines itself).
-func stores(t *testing.T) []Store {
+func stores(t *testing.T) []*Store {
 	t.Helper()
 	names := Engines()
 	if len(names) < 5 {
 		t.Fatalf("Engines() = %v, want at least medley/txmontage/onefile/tdsl/boost", names)
 	}
-	out := make([]Store, 0, len(names))
+	out := make([]*Store, 0, len(names))
 	for _, name := range names {
-		st, err := NewStore(name, StoreOptions{})
+		st, err := NewStore(name, txengine.Config{})
 		if err != nil {
 			t.Fatalf("NewStore(%s): %v", name, err)
 		}
@@ -34,10 +36,10 @@ func stores(t *testing.T) []Store {
 
 // TPC-C must refuse engines that cannot express its transactions.
 func TestNewStoreRejectsStaticEngines(t *testing.T) {
-	if _, err := NewStore("lftt", StoreOptions{}); err == nil {
+	if _, err := NewStore("lftt", txengine.Config{}); err == nil {
 		t.Fatal("NewStore(lftt) succeeded; LFTT cannot run TPC-C")
 	}
-	if _, err := NewStore("no-such-engine", StoreOptions{}); err == nil {
+	if _, err := NewStore("no-such-engine", txengine.Config{}); err == nil {
 		t.Fatal("NewStore of unknown engine succeeded")
 	}
 }
@@ -109,7 +111,7 @@ func TestPaymentMoneyConservation(t *testing.T) {
 // every oid below NextOID has exactly one order row.
 func TestNewOrderIDsDense(t *testing.T) {
 	cfg := smallCfg()
-	st, err := NewStore("medley", StoreOptions{})
+	st, err := NewStore("medley", txengine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestNewOrderIDsDense(t *testing.T) {
 // txMontage TPC-C with a running epoch advancer must stay correct.
 func TestTxMontageWithAdvancer(t *testing.T) {
 	cfg := smallCfg()
-	st, err := NewStore("txmontage", StoreOptions{EpochLen: 2 * time.Millisecond})
+	st, err := NewStore("txmontage", txengine.Config{EpochLen: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,13 +83,21 @@ func testRowCodec() montage.Codec[any] {
 
 // eachTxEngine runs f for every engine that supports transactions.
 func eachTxEngine(t *testing.T, f func(t *testing.T, b Builder, eng Engine, m Map[uint64])) {
+	eachTxEngineWith(t, Config{EpochLen: 2 * time.Millisecond}, f)
+}
+
+// eachTxEngineWith is eachTxEngine with every engine built from cfg.
+func eachTxEngineWith(t *testing.T, cfg Config, f func(t *testing.T, b Builder, eng Engine, m Map[uint64])) {
 	for _, b := range Builders() {
 		if !b.Caps.Has(CapTx) {
 			continue
 		}
 		b := b
 		t.Run(b.Key, func(t *testing.T) {
-			eng := buildForTest(t, b)
+			eng, err := b.New(cfg)
+			if err != nil {
+				t.Fatalf("build %s: %v", b.Key, err)
+			}
 			defer eng.Close()
 			m, err := eng.NewUintMap(testSpec(b.Caps))
 			if err != nil {

@@ -53,10 +53,11 @@ func runCache(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, erro
 
 	var hits, misses, updates, conflictsLost atomic.Uint64
 	var snapFallbacks atomic.Uint64
-	base := eng.Stats()
 	readPct := cfg.readPct()
 	snapshot := cfg.Snapshot
-	txns, el, lh := drive(cfg.threads(), cfg.dur(), cfg.Warmup, cfg.Latency, func(tid int) func() uint64 {
+	// The Aux counters span the whole run, warm-up included: the coherence
+	// audit below must see every update.
+	res := Drive(eng.Stats, cfg.threads(), cfg.dur(), cfg.Warmup, cfg.Latency, func(tid int) func() uint64 {
 		tx := eng.NewWorker(tid)
 		// math/rand/v2 PCG, like workqueue/transfer: seeded straight from
 		// the uint64 (Seed, tid) pair, so a Seed near MaxInt64 can't
@@ -115,16 +116,7 @@ func runCache(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, erro
 			updates.Add(1)
 			return 1
 		}
-	}, func() {
-		// Re-snapshot at the measurement boundary (see transfer.go): the
-		// delta excludes warm-up, the Aux counters span the whole run for
-		// the coherence audit.
-		base = eng.Stats()
 	})
-
-	// Snapshot the measured delta before the audit: audit reads are
-	// one-shot transactions on some engines and must not inflate it.
-	stats := eng.Stats().Delta(base)
 
 	// Post-run audit (single-threaded): every cached entry must match the
 	// backing store.
@@ -138,21 +130,15 @@ func runCache(eng txengine.Engine, caps txengine.Caps, cfg Config) (Result, erro
 		}
 	}
 
-	res := Result{
-		Txns: txns, Duration: el,
-		Throughput: float64(txns) / el.Seconds(),
-		Stats:      stats,
-		Aux: []AuxCount{
-			{"hits", hits.Load()},
-			{"misses", misses.Load()},
-			{"updates", updates.Load()},
-			{"errors", conflictsLost.Load()},
-			{"stale", stale},
-		},
+	res.Aux = []AuxCount{
+		{"hits", hits.Load()},
+		{"misses", misses.Load()},
+		{"updates", updates.Load()},
+		{"errors", conflictsLost.Load()},
+		{"stale", stale},
 	}
 	if snapshot {
 		res.Aux = append(res.Aux, AuxCount{"snapfallback", snapFallbacks.Load()})
 	}
-	res.attachLatency(lh)
 	return res, nil
 }

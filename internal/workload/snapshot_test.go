@@ -70,7 +70,7 @@ func TestSnapshotCacheSmoke(t *testing.T) {
 	}
 }
 
-// TestLatHistWeighting pins the drive() latency fix: an iteration that
+// TestLatHistWeighting pins the Drive latency weighting: an iteration that
 // completed c transactions contributes c samples (so multi-transaction
 // iterations don't undercount) and zero-count iterations contribute none.
 func TestLatHistWeighting(t *testing.T) {

@@ -20,6 +20,10 @@
 // measured interval, plus scenario-specific Aux counters including the
 // post-run invariant checks (lost jobs, stale cache entries, balance
 // imbalance) that conformance tests assert on.
+//
+// Drive, the loop that measures every scenario, is also the one
+// measurement loop of internal/bench (Figures 7, 8 and 10) and
+// internal/tpcc (Figure 9).
 package workload
 
 import (
@@ -29,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"medley/internal/pnvm"
 	"medley/internal/txengine"
 )
 
@@ -41,14 +44,10 @@ type Config struct {
 	Scale   float64       // structure-size scale (0: 1.0; sizes below)
 	Seed    uint64        // rng seed base (0: fixed default)
 
-	// Latencies and EpochLen configure persistent engines, as in
-	// internal/bench.
-	Latencies pnvm.Latencies
-	EpochLen  time.Duration
-
-	// Shards is the partition count for sharded engines (0: engine
-	// default); non-sharded engines ignore it.
-	Shards int
+	// Engine configures the engine the scenario runs on: NVM latencies
+	// and epoch length of persistent engines, the shard count of sharded
+	// ones. The zero value is a transient engine with default shards.
+	Engine txengine.Config
 
 	// ZipfS is the Zipf skew exponent (>1.0). Higher values concentrate
 	// traffic on fewer hot keys. The cache scenario always skews (0: 1.2);
@@ -174,7 +173,8 @@ type AuxCount struct {
 	N    uint64
 }
 
-// Result is one measured scenario point.
+// Result is one measured point: a scenario run, a paper figure point or a
+// TPC-C point. Drive fills everything but Workload, System and Aux.
 type Result struct {
 	Workload   string
 	System     string
@@ -185,14 +185,6 @@ type Result struct {
 	Stats      txengine.Stats // engine stats delta over the measured run
 	P50, P99   time.Duration  // per-iteration latency percentiles (see Config.Latency)
 	Aux        []AuxCount     // scenario counters + invariant checks
-}
-
-// attachLatency fills the percentile fields from a measured histogram.
-func (r *Result) attachLatency(h *latHist) {
-	if h != nil && h.count > 0 {
-		r.P50 = h.percentile(0.50)
-		r.P99 = h.percentile(0.99)
-	}
 }
 
 // AuxN returns the named Aux counter (0 if absent).
@@ -295,7 +287,7 @@ func Run(scenario, engine string, cfg Config) (Result, error) {
 	if cfg.Snapshot && !b.Caps.Has(txengine.CapSnapshot) {
 		return Result{}, fmt.Errorf("workload: engine %q cannot serve snapshot reads (needs CapSnapshot): %w", engine, txengine.ErrUnsupported)
 	}
-	eng, err := b.New(txengine.Config{Latencies: cfg.Latencies, EpochLen: cfg.EpochLen, Shards: cfg.Shards})
+	eng, err := b.New(cfg.Engine)
 	if err != nil {
 		return Result{}, err
 	}
@@ -306,7 +298,6 @@ func Run(scenario, engine string, cfg Config) (Result, error) {
 	}
 	res.Workload = scenario
 	res.System = eng.Name()
-	res.Threads = cfg.threads()
 	return res, nil
 }
 
@@ -328,24 +319,23 @@ func mapKind(caps txengine.Caps) txengine.MapKind {
 	return txengine.KindSkip
 }
 
-// drive spawns threads workers, each constructed by newWorker (per-worker
-// state: tx handle, rng) and then iterated until warmup+dur elapses; it
-// returns the transaction count completed inside the measured window, the
-// measured wall time, and — when lat is set — a merged per-iteration
-// latency histogram (nil otherwise). Each iteration returns the number of
-// completed transactions it performed.
+// Drive is the one measurement loop: the paper figures, TPC-C and the
+// scenarios all run through it. It spawns threads workers, each built by
+// newWorker (per-worker state: tx handle, rng) before the clock starts, and
+// then iterated until warmup+dur elapses. Each iteration returns the number
+// of transactions it completed.
 //
 // When warmup is positive, workers run for that long before measurement
-// begins: ramp-up iterations are discarded from the count and the
-// histograms. onMeasure, if non-nil, fires once at the start of the
-// measured window (with workers already running), so callers can
-// re-snapshot engine stats to the same boundary.
-func drive(threads int, dur, warmup time.Duration, lat bool, newWorker func(tid int) func() uint64, onMeasure func()) (uint64, time.Duration, *latHist) {
-	var stop atomic.Bool
-	var measuring atomic.Bool
+// begins: ramp-up iterations are discarded from Txns and the latency
+// histogram. Stats is the delta of stats() from the start of the measured
+// window to the moment every worker has stopped, so it covers the same
+// transactions as Txns up to the at most one iteration per worker that
+// straddles the boundary. With lat set, each iteration is timed and the
+// result carries P50 and P99.
+func Drive(stats func() txengine.Stats, threads int, dur, warmup time.Duration, lat bool, newWorker func(tid int) func() uint64) Result {
+	var stop, measuring atomic.Bool
 	var total atomic.Uint64
-	var wg sync.WaitGroup
-	var ready, start sync.WaitGroup
+	var wg, ready, start sync.WaitGroup
 	ready.Add(threads)
 	start.Add(1)
 	hists := make([]*latHist, threads)
@@ -392,38 +382,36 @@ func drive(threads int, dur, warmup time.Duration, lat bool, newWorker func(tid 
 		}(t)
 	}
 	ready.Wait()
-	// t0 must be taken no later than the measuring flip: a transaction that
-	// commits after Store(true) is counted in the measured total, so the
-	// elapsed window has to cover it or throughput is inflated.
-	var t0 time.Time
 	if warmup > 0 {
 		start.Done()
 		time.Sleep(warmup)
-		t0 = time.Now()
-		measuring.Store(true)
-		if onMeasure != nil {
-			onMeasure()
-		}
-	} else {
-		measuring.Store(true)
-		if onMeasure != nil {
-			onMeasure()
-		}
+	}
+	// The stats base and t0 are taken no later than the measuring flip: a
+	// transaction that commits after Store(true) is counted in Txns, so the
+	// window and the stats delta both have to cover it.
+	base := stats()
+	t0 := time.Now()
+	measuring.Store(true)
+	if warmup <= 0 {
 		start.Done()
-		t0 = time.Now()
 	}
 	time.Sleep(dur)
 	stop.Store(true)
 	wg.Wait()
-	el := time.Since(t0)
-	if !lat {
-		return total.Load(), el, nil
+	res := Result{
+		Threads:  threads,
+		Txns:     total.Load(),
+		Duration: time.Since(t0),
+		Stats:    stats().Delta(base),
 	}
-	merged := &latHist{}
-	for _, h := range hists {
-		if h != nil {
+	res.Throughput = float64(res.Txns) / res.Duration.Seconds()
+	if lat {
+		merged := &latHist{}
+		for _, h := range hists {
 			merged.merge(h)
 		}
+		res.P50 = merged.percentile(0.50)
+		res.P99 = merged.percentile(0.99)
 	}
-	return total.Load(), el, merged
+	return res
 }

@@ -76,7 +76,7 @@ func TestSmoke(t *testing.T) {
 // cache mix, and latency percentiles — every audit must still hold.
 func TestKnobs(t *testing.T) {
 	cfg := smokeConfig()
-	cfg.Shards = 8
+	cfg.Engine.Shards = 8
 	cfg.Accounts = 4 // four hot accounts: maximum cross-map contention
 	cfg.Latency = true
 	res, err := Run("transfer", "medley-sharded", cfg)
@@ -130,7 +130,7 @@ func TestTransferConservation(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := smokeConfig()
-				cfg.Shards = shards
+				cfg.Engine.Shards = shards
 				cfg.NoHints = noHints
 				cfg.Accounts = 64 // small: most transfers cross shards
 				cfg.ZipfS = 1.4   // skewed: hot accounts collide constantly

@@ -76,17 +76,21 @@ awk '
 ' "$raw" > "$raw.results"
 
 # Cache workload A/B: the same read-mostly mix through OCC read-only
-# transactions and through MVCC snapshot reads. Row columns (no -lat):
-# 1 system, 2 threads, 3 txn/s, 4 commits, 5 aborts, 6 retries, ...,
-# 13 snapread, 14 snapstale.
+# transactions and through MVCC snapshot reads. The row's fields are looked
+# up by the names in the table's header row (system, threads, txn/s,
+# commits, aborts, retries, snapread, snapstale), so a column added to or
+# dropped from the table cannot shift them onto the wrong values.
 run_cache() { # $1 = extra flags, $2 = mode label
   go run ./cmd/medleybench -workload cache -systems medley-sharded -shards 4 \
     -threads 4 -dur "$abdur" -scale 0.05 -readpct 95 $1 |
   awk -v mode="$2" '
-    $2 ~ /^[0-9]+$/ && $1 != "system" {
-      printf "    {\"mode\": \"%s\", \"system\": \"%s\", \"threads\": %s, \"txn_per_s\": %s, \"commits\": %s, \"aborts\": %s, \"retries\": %s, \"snapshot_reads\": %s, \"snapshot_stale\": %s}", mode, $1, $2, $3, $4, $5, $6, $13, $14
+    $1 == "system" { for (i = 1; i <= NF; i++) col[$i] = i; next }
+    ("snapstale" in col) && $2 ~ /^[0-9]+$/ {
+      printf "    {\"mode\": \"%s\", \"system\": \"%s\", \"threads\": %s, \"txn_per_s\": %s, \"commits\": %s, \"aborts\": %s, \"retries\": %s, \"snapshot_reads\": %s, \"snapshot_stale\": %s}", mode, $col["system"], $col["threads"], $col["txn/s"], $col["commits"], $col["aborts"], $col["retries"], $col["snapread"], $col["snapstale"]
+      found = 1
       exit
-    }'
+    }
+    END { if (!found) { print "cache A/B: no result row under a header with snapstale" > "/dev/stderr"; exit 1 } }'
 }
 
 echo "# cache A/B (readpct 95, medley-sharded sh4): OCC control vs -snapshot"
